@@ -226,19 +226,21 @@ def traced_run(args, untraced, times, outcomes):
     try:
         workload = WORKLOADS[args.workload]()
         workload.setup()
-        latency_model_s = recorder.outside_roots("device.latency_model")
         workload.generate(args.seed)
         host = workload.name == "host_inference"
         if host:
             workload.check_parity()
             for rung in workload.rungs:
                 rung.network.compile().enable_timing()
+        traced = []
         for k in range(workload.calls()):
-            result = recorder.root(workload.prepare(k))
-            if workload.outcome(k, result) != outcomes[k]:
-                raise CheckFailed(f"traced call {k} changed its simulated "
-                                  "outcome")
-        sim = sim_summary(workload, outcomes)
+            call = workload.prepare(k)
+            if k == 0:
+                # set-up ends with the first call's serving objects
+                latency_model_s = recorder.outside_roots(
+                    "device.latency_model")
+            traced.append(workload.outcome(k, recorder.root(call)))
+        sim = sim_summary(workload, traced)
         kernels = workload.kernel_seconds() if host else {}
         costs = workload.kernel_cost() if host else {}
     finally:
@@ -246,9 +248,8 @@ def traced_run(args, untraced, times, outcomes):
     if any(p.owner.__dict__[p.attr] is not o
            for p, o in zip(probe_list, originals)):
         raise CheckFailed("a probe outlived the traced run")
-    untraced_sim = sim_summary(untraced, outcomes)
-    if sim != untraced_sim:
-        raise CheckFailed("simulated metrics differ between the untraced "
+    if traced != outcomes or sim != sim_summary(untraced, outcomes):
+        raise CheckFailed("simulated outcomes differ between the untraced "
                           "and the traced run")
 
     os.makedirs(OUT_DIR, exist_ok=True)

@@ -37,6 +37,23 @@ def test_simulated_outcomes_repeat_for_a_seed_and_follow_it(cls):
     assert outcomes(cls, 2, 2) != first
 
 
+def test_fleet_calls_build_no_latency_table(monkeypatch):
+    workload = workloads.FleetOverload()
+    workload.setup()
+    workload.generate(1)
+    call = workload.prepare(0)
+    built = []
+    real = workloads.device_runtime.network_latency
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(workloads.device_runtime, "network_latency", counted)
+    workload.outcome(0, call())
+    assert built == []
+
+
 def test_device_replay_repeats_for_a_seed_and_follows_it():
     def replay(seed):
         workload = workloads.HostInference()
@@ -89,6 +106,25 @@ def test_probes_are_removed_when_the_traced_run_fails(monkeypatch, capsys):
                      "--seconds", "0.1", "--trace", "1"]) == 1
     assert_probes_gone(before)
     assert "injected failure" in capsys.readouterr().err
+
+
+def test_a_traced_outcome_that_differs_fails_the_command(monkeypatch,
+                                                        capsys):
+    real = workloads.HostInference.outcome
+    plain_forward = workloads.TRNRung.__dict__["forward"]
+
+    def drifting(self, k, result):
+        out = real(self, k, result)
+        if workloads.TRNRung.__dict__["forward"] is not plain_forward:
+            out = {**out, "completed": 2}      # only while probed
+        return out
+
+    monkeypatch.setattr(workloads.HostInference, "outcome", drifting)
+    assert run.main(["--workload", "host_inference", "--seed", "3",
+                     "--seconds", "0.1", "--trace", "1"]) == 1
+    captured = capsys.readouterr()
+    assert "differ between the untraced and the traced run" in captured.err
+    assert captured.out == ""
 
 
 def test_broken_conservation_fails_the_command(monkeypatch, capsys):
