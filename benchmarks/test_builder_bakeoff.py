@@ -29,7 +29,8 @@ from repro.netcut import (
     load_artifact,
     save_artifact,
 )
-from repro.serve import Server, ServerConfig, TRNLadder, poisson_trace
+from repro.serve import Server, ServerConfig, TRNLadder
+from repro.workload import poisson_trace
 from repro.zoo import build_network
 
 from conftest import emit

@@ -23,7 +23,8 @@ import pytest
 
 from repro.device import xavier
 from repro.faults import build_scenario
-from repro.serve import Server, ServerConfig, TRNLadder, poisson_trace
+from repro.serve import Server, ServerConfig, TRNLadder
+from repro.workload import poisson_trace
 from repro.zoo import build_network
 
 from conftest import emit

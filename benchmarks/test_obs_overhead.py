@@ -33,7 +33,8 @@ import pytest
 
 from repro.device import xavier
 from repro.obs import DriftMonitor, Telemetry, Tracer
-from repro.serve import Server, ServerConfig, TRNLadder, poisson_trace
+from repro.serve import Server, ServerConfig, TRNLadder
+from repro.workload import poisson_trace
 from repro.zoo import build_network
 
 from conftest import emit

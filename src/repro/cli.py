@@ -348,24 +348,21 @@ def _resolve_net(name: str) -> str:
 
 
 def cmd_profile(args) -> int:
-    """Profile one zoo network layer-by-layer through the obs hooks.
+    """Profile one zoo network kernel-by-kernel on the modelled Xavier.
 
-    Prints the per-layer latency table accumulated by
-    :class:`repro.obs.LayerProfiler` over real (hooked) forward passes,
-    and — when ``--cutpoint`` is given — reproduces the paper's ratio-form
-    TRN latency estimate from that table, next to the estimate from the
-    device's own profiler and the TRN's direct model latency.
+    Prints the per-kernel latency table of
+    :func:`repro.device.profile_network` and — when ``--cutpoint`` is
+    given — the paper's ratio-form TRN latency estimate from that table,
+    next to the TRN's direct model latency.
     """
     from repro.device import network_latency, profile_network, xavier
     from repro.estimators import ProfilerEstimator
-    from repro.obs import profile_forward
     from repro.trim import build_trn, enumerate_blockwise, removed_node_set
     from repro.zoo import build_network
 
     spec = xavier()
     net = build_network(_resolve_net(args.net)).build(0)
-    table = profile_forward(net, spec, runs=args.runs, warmup=args.warmup,
-                            rng=args.seed)
+    table = profile_network(net, spec, rng=args.seed, profile_runs=args.runs)
     print(table.describe(top=args.top))
     if args.cutpoint is None:
         return 0
@@ -375,17 +372,13 @@ def cmd_profile(args) -> int:
                          f"{net.name} has {len(cuts)} blockwise cutpoints")
     cut = cuts[args.cutpoint]
     removed = removed_node_set(net, cut.cut_node)
-    est_obs = ProfilerEstimator(net, table).estimate(removed)
-    est_dev = ProfilerEstimator(net, profile_network(net, spec)) \
-        .estimate(removed)
+    est = ProfilerEstimator(net, table).estimate(removed)
     trn = build_trn(net, cut.cut_node, num_classes=5)
     direct = network_latency(trn, spec).total_ms
     print(f"\ncutpoint {args.cutpoint} ({cut.cut_node}, "
           f"{cut.blocks_removed} blocks removed) -> {trn.name}")
-    print(f"ratio estimate from obs table:    {est_obs:.4f} ms")
-    print(f"ratio estimate from device table: {est_dev:.4f} ms "
-          f"({100 * abs(est_obs - est_dev) / est_dev:.2f}% apart)")
-    print(f"TRN direct model latency:         {direct:.4f} ms "
+    print(f"ratio estimate from the table: {est:.4f} ms")
+    print(f"TRN direct model latency:      {direct:.4f} ms "
           "(feature part estimated, fresh head replaces the old one)")
     return 0
 
@@ -394,13 +387,12 @@ def cmd_trace(args) -> int:
     """Replay a serve trace with full observability attached.
 
     Same scenario as ``serve``, plus a request tracer (JSONL and Chrome
-    trace export), an estimator-drift monitor, and the unified metrics
-    registry report.
+    trace export) and an estimator-drift monitor; prints the final rung
+    and each component's report.
     """
     from repro.device import xavier
     from repro.obs import (
         DriftMonitor,
-        MetricsRegistry,
         Tracer,
         write_chrome_trace,
         write_jsonl,
@@ -424,14 +416,13 @@ def cmd_trace(args) -> int:
                     tracer=tracer, drift=drift)
     result = server.run_trace(trace)
 
-    registry = MetricsRegistry()
-    registry.gauge("serve.final_rung").set(ladder.current_index)
-    registry.mount("serve", result.metrics)
-    registry.mount("trace", tracer)
-    registry.mount("drift", drift)
     print(f"{args.requests} Poisson requests @ {rate:,.0f} req/s, "
           f"deadline {args.deadline_ms} ms, seed {args.seed}\n")
-    print(registry.report())
+    print(f"serve.final_rung: {ladder.current_index}")
+    for name, component in (("serve", result.metrics), ("trace", tracer),
+                            ("drift", drift)):
+        print(f"-- {name} --")
+        print(component.report())
     if args.out:
         n = write_jsonl(tracer, args.out)
         print(f"\nwrote {n} spans to {args.out}")
@@ -1163,16 +1154,14 @@ def build_parser() -> argparse.ArgumentParser:
                     help="rows to print (biggest relative movers first)")
 
     p = sub.add_parser("profile",
-                       help="per-layer latency table via forward hooks")
+                       help="per-kernel latency table on the modelled Xavier")
     p.add_argument("--net", default="mobilenet_v1_0.5",
                    help="zoo network (exact name, prefix or substring)")
     p.add_argument("--cutpoint", type=int, default=None,
                    help="blockwise cutpoint index: also print the "
                         "ratio-form TRN estimate from the table")
     p.add_argument("--runs", type=int, default=100,
-                   help="recorded forward passes")
-    p.add_argument("--warmup", type=int, default=200,
-                   help="discarded warm-up runs (paper protocol: 200)")
+                   help="profiled runs averaged per kernel")
     p.add_argument("--top", type=int, default=None,
                    help="show only the N slowest kernels")
     p.add_argument("--seed", type=int, default=0)

@@ -5,9 +5,9 @@ how requests were routed, what was dropped because no replica could take
 it, and when the autoscaler acted. Everything latency-shaped stays in
 each replica's own :class:`repro.serve.ServerMetrics`; the roll-up merges
 those (bin-exact histogram merges, counter sums) into one cluster-wide
-view, and :meth:`ClusterMetrics.snapshot` nests all three levels so a
-:class:`repro.obs.MetricsRegistry` mount exposes the fleet as one
-monitoring surface with a per-replica breakdown.
+view, and :meth:`ClusterMetrics.snapshot` nests all three levels so one
+snapshot exposes the fleet as one monitoring surface with a per-replica
+breakdown.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 This module is the single source of truth for *layer fusion*: the grouping
 of graph nodes into the kernels a runtime launches. The device latency
-model (:mod:`repro.device.fusion` re-exports :func:`fuse_kernels` from
-here) and the compiled executor below both consume the same
+model (:mod:`repro.device.latency`) and the compiled executor below both
+consume the same
 :class:`KernelGroup` partition, so what the latency model *prices* as one
 fused kernel is exactly what the compute path *runs* as one fused kernel.
 
@@ -24,9 +24,9 @@ The plan is validated against a cheap state signature (structure version +
 parameter/batch-norm-statistic version counters) on every use; weight
 mutation through ``Parameter.value`` or ``load_state_dict`` triggers a
 transparent recompile, and ``copy()``/``subgraph()`` clones start
-uncompiled. Forward passes with hooks attached, ``training=True`` or
-``capture=`` fall back to the interpreted node walk, which observers
-(:mod:`repro.obs`) and gradient checks rely on.
+uncompiled. Forward passes with ``training=True`` or ``capture=`` fall
+back to the interpreted node walk, which training and gradient checks
+rely on.
 """
 
 from __future__ import annotations
@@ -401,10 +401,11 @@ class CompiledNetwork:
 
         One :class:`~repro.device.profiler.LayerRecord` per timed step
         (mean ms per launch, anchored at the step's first node), in plan
-        order — the same shape the :class:`repro.obs.LayerProfiler`
-        produces, so drift monitoring and ladder rebuilds can consume
-        measurements from the *compiled* path too. ``end_to_end_ms`` is
-        the per-kernel mean total (launch gaps are not observable here).
+        order — the same shape :func:`repro.device.profile_network`
+        produces, so :class:`repro.estimators.ProfilerEstimator`, drift
+        monitoring and ladder rebuilds can consume measurements from the
+        *compiled* path too. ``end_to_end_ms`` is the per-kernel mean
+        total (launch gaps are not observable here).
         """
         from repro.device.profiler import LatencyTable, LayerRecord
         times = self.kernel_times_ms()

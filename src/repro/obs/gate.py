@@ -11,10 +11,10 @@ speedup, accuracy-at-deadline), absolute increase caps for
 lower-is-better rates (deadline misses) — and any violation fails the
 gate with a readable table of movers.
 
-Wall-clock caveat, encoded in the default rules: absolute
-``samples_per_sec`` numbers vary with the runner, so the forward bench is
-gated on its *speedup* columns (compiled over interpreted on the same
-machine), which is the stable signal. Everything else in the BENCH files
+Wall-clock caveat, encoded in the default rules: absolute samples/s
+numbers vary with the runner, so the forward bench is gated only on its
+*speedup* columns (compiled over interpreted on the same machine), which
+is the stable signal. Everything else in the BENCH files
 is virtual-time or analytic and deterministic.
 
 Used by ``scripts/bench_gate.py`` (the CI step) and ``repro obs gate``
@@ -70,18 +70,12 @@ DEFAULT_RULES: tuple[GateRule, ...] = (
     # compiled-forward throughput, runner-independent form
     GateRule("BENCH_forward.*speedup*", min_ratio=0.85,
              note="compiled speedup >= 0.85x baseline"),
-    GateRule("BENCH_forward.*samples_per_sec*",
-             note="informational: wall-clock, runner-dependent"),
     # deadline-miss rates move at most +2pp anywhere they appear
     GateRule("*miss_rate*", max_abs_increase=0.02,
              note="miss rates within +2pp absolute"),
-    GateRule("*misses*", max_abs_increase=2.0,
-             note="paired miss counts drift <= 2 requests"),
     # serving/cluster throughput floors
     GateRule("*admitted_rps*", min_ratio=0.85,
              note="admitted throughput >= 0.85x baseline"),
-    GateRule("*throughput*", min_ratio=0.85,
-             note="throughput >= 0.85x baseline"),
     # the builder bake-off must not lose accuracy at the deadline
     GateRule("BENCH_builders.*accuracy_at_deadline*", min_ratio=0.98,
              note="accuracy-at-deadline >= 0.98x baseline"),

@@ -1,10 +1,8 @@
 """Labeled time-series telemetry over the serving stack's virtual clock.
 
-This module is the canonical home of the metric primitives the rest of
-the repo consumes (:class:`Counter`, :class:`Gauge`,
-:class:`LatencyHistogram` — re-exported by :mod:`repro.serve.metrics`
-and :mod:`repro.obs.registry` for compatibility), plus the label model
-and time dimension PR-2's snapshot-only registry lacked:
+This module is the home of the metric primitives the rest of the repo
+consumes (:class:`Counter`, :class:`Gauge`, :class:`LatencyHistogram`),
+plus the label model and time dimension on top of them:
 
 - :class:`MetricFamily` — one named metric with a fixed label schema
   (``serve_requests_total{event=...,tenant=...}``); children are created
@@ -47,7 +45,7 @@ __all__ = [
 LabelKey = tuple[tuple[str, str], ...]
 
 
-# -- primitives (canonical home; serve/cluster re-export) --------------------
+# -- primitives ----------------------------------------------------------------
 
 @dataclass
 class Counter:
@@ -406,9 +404,6 @@ class Telemetry:
     :meth:`maybe_sample` on its virtual clock, which snapshots every
     family into the :class:`TimeSeriesStore` and evaluates the attached
     :class:`~repro.obs.alerts.AlertEngine`.
-
-    Mountable on a :class:`repro.obs.MetricsRegistry` (it exposes
-    ``snapshot()``/``report()``).
     """
 
     def __init__(self, sample_interval_ms: float = 1.0,

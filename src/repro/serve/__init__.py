@@ -12,7 +12,7 @@ and wall-clock-free.
 
 Entry points: :class:`Server` / :class:`ServerConfig` (the facade),
 :class:`TRNLadder` (build from networks, deployment artifacts or a base
-network), and :func:`poisson_trace` (synthetic traffic). Observability —
+network); synthetic traffic comes from :mod:`repro.workload`. Observability —
 request tracing and estimator-drift monitoring — plugs in through
 ``Server(..., tracer=..., drift=...)``; see :mod:`repro.obs`.
 """
@@ -20,19 +20,10 @@ request tracing and estimator-drift monitoring — plugs in through
 from .batcher import MicroBatcher
 from .engine import Engine, ServerConfig
 from .ladder import HysteresisController, TRNLadder, TRNRung
-from .metrics import Counter, LatencyHistogram, ServerMetrics
+from .metrics import ServerMetrics
 from .queue import EDFQueue
 from .request import COMPLETED, REJECTED, Request, Response
 from .server import Server, ServingResult
-
-# the trace makers live in repro.workload now; re-exported here for
-# compatibility (imported from the source, not the deprecated
-# repro.serve.trace shim, so `import repro.serve` stays warning-free)
-from repro.workload.generators import (
-    offered_load,
-    poisson_trace,
-    uniform_trace,
-)
 
 __all__ = [
     "Server",
@@ -48,10 +39,5 @@ __all__ = [
     "Response",
     "COMPLETED",
     "REJECTED",
-    "Counter",
-    "LatencyHistogram",
     "ServerMetrics",
-    "poisson_trace",
-    "uniform_trace",
-    "offered_load",
 ]

@@ -7,9 +7,8 @@ trace runs. :meth:`ServerMetrics.snapshot` returns a plain dict (the
 monitoring surface) and :meth:`ServerMetrics.report` renders it as the text
 block the CLI prints.
 
-:class:`Counter` and :class:`LatencyHistogram` live canonically in
-:mod:`repro.obs.telemetry` (one implementation for serve, cluster and the
-registry) and are re-exported here for compatibility. When a
+:class:`Counter` and :class:`LatencyHistogram` come from
+:mod:`repro.obs.telemetry` (one implementation for serve and cluster). When a
 :class:`repro.obs.Telemetry` is attached, :class:`ServerMetrics` mirrors
 every recording into labeled metric families (``tenant``/``rung``/
 ``event`` label sets, plus any extra labels such as ``replica``) through
@@ -25,7 +24,7 @@ from dataclasses import dataclass
 
 from repro.obs.telemetry import Counter, LatencyHistogram
 
-__all__ = ["Counter", "LatencyHistogram", "ServeTelemetry", "ServerMetrics"]
+__all__ = ["ServeTelemetry", "ServerMetrics"]
 
 
 @dataclass

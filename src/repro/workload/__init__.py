@@ -5,8 +5,8 @@ Four parts, one subsystem:
 - :mod:`~repro.workload.generators` — composable arrival processes
   (diurnal cycles, flash crowds, Markov-modulated bursts and their
   superposition) sampled into :class:`repro.serve.Request` traces with
-  Lewis–Shedler thinning; also the canonical home of ``poisson_trace``
-  and ``uniform_trace`` (still re-exported by ``repro.serve.trace``);
+  Lewis–Shedler thinning; also the home of ``poisson_trace`` and
+  ``uniform_trace``;
 - :mod:`~repro.workload.tenancy` — per-tenant request classes with
   distinct deadlines, priorities and traffic shares, plus the
   weighted-fair admission policy the engine enforces under contention;

@@ -23,9 +23,7 @@ Four intensities cover the production shapes the single-rate traces of
   how per-tenant streams compose into one offered load.
 
 :func:`poisson_trace`, :func:`uniform_trace` and :func:`offered_load`
-moved here from ``repro.serve.trace`` (which still re-exports them);
-they are unchanged, byte-for-byte, so existing seeded experiments
-reproduce exactly.
+are the fixed-rate trace makers the serving benchmarks and examples use.
 """
 
 from __future__ import annotations
@@ -35,6 +33,7 @@ import math
 import numpy as np
 
 from repro.data.synthetic import render_object, sample_object
+from repro.serve.request import Request
 
 __all__ = [
     "ArrivalProcess",
@@ -360,10 +359,6 @@ def generate_trace(process: ArrivalProcess, horizon_ms: float,
     order is fixed (arrivals, then tenant assignment, then payloads), so
     one seed pins the whole trace.
     """
-    # imported lazily: repro.serve re-exports this module's trace makers,
-    # so a module-level serve import would be circular either way round
-    from repro.serve.request import Request
-
     if tenants is None and deadline_ms is None:
         raise ValueError("need deadline_ms or a TenantMix with deadlines")
     rng = _as_rng(rng)
@@ -394,8 +389,6 @@ def poisson_trace(n: int, rate_rps: float, deadline_ms: float,
     fraction of the trace — e.g. ``(0.3, 0.7, 4.0)`` makes the middle 40%
     of requests arrive 4x faster, a load spike the ladder must absorb.
     """
-    from repro.serve.request import Request
-
     if rate_rps <= 0:
         raise ValueError("rate_rps must be positive")
     rng = _as_rng(rng)
@@ -420,8 +413,6 @@ def uniform_trace(n: int, rate_rps: float, deadline_ms: float,
                   image_size: int = 32, render: bool = False
                   ) -> list:
     """``n`` evenly spaced arrivals (a closed-loop sensor at a fixed rate)."""
-    from repro.serve.request import Request
-
     if rate_rps <= 0:
         raise ValueError("rate_rps must be positive")
     rng = _as_rng(rng)

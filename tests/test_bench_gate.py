@@ -1,12 +1,11 @@
 """Tests for the bench-regression gate (repro.obs.gate + scripts/bench_gate.py)."""
 
 import copy
+import fnmatch
 import json
 import os
 import subprocess
 import sys
-
-import pytest
 
 from repro.obs import (
     DEFAULT_RULES,
@@ -15,6 +14,7 @@ from repro.obs import (
     load_bench_dir,
     run_gate,
 )
+from repro.obs.store import _numeric_leaves
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -52,13 +52,19 @@ class TestGateRules:
         assert rule.check(0.05, 0.01) is None  # improvements always pass
 
     def test_first_matching_rule_governs(self):
-        # the samples_per_sec escape hatch outranks a throughput floor
-        report = evaluate_gate(
-            _payloads(), {"BENCH_serve": copy.deepcopy(SERVE),
-                          "BENCH_forward": {"nets": {"mobilenet": {
-                              "speedup": 3.0,
-                              "samples_per_sec": 100.0}}}})
-        assert report.ok  # wall-clock collapse alone must not fail the gate
+        # an informational rule outranks a later catch-all floor
+        rules = (GateRule("*samples_per_sec*", note="informational"),
+                 GateRule("*", min_ratio=0.85))
+        current = _payloads()
+        current["BENCH_forward"]["nets"]["mobilenet"]["samples_per_sec"] = 1.0
+        assert evaluate_gate(_payloads(), current, rules).ok
+        current["BENCH_forward"]["nets"]["mobilenet"]["speedup"] = 1.0
+        assert not evaluate_gate(_payloads(), current, rules).ok
+
+    def test_wall_clock_collapse_alone_passes(self):
+        current = _payloads()
+        current["BENCH_forward"]["nets"]["mobilenet"]["samples_per_sec"] = 1.0
+        assert evaluate_gate(_payloads(), current).ok
 
 
 class TestEvaluateGate:
@@ -187,6 +193,15 @@ class TestCommittedBaselines:
         report = evaluate_gate(payloads, payloads)
         assert report.ok
         assert len(report.gated) > 20
+
+    def test_every_default_rule_matches_a_baseline_key(self):
+        payloads = load_bench_dir(os.path.join(REPO, "benchmarks",
+                                               "baselines"))
+        keys = [key for name, payload in payloads.items()
+                for key in _numeric_leaves(payload, name)]
+        for rule in DEFAULT_RULES:
+            assert any(fnmatch.fnmatch(key, rule.pattern) for key in keys), \
+                rule.pattern
 
     def test_default_rules_gate_builders_accuracy(self):
         payloads = load_bench_dir(os.path.join(REPO, "benchmarks",

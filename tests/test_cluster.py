@@ -25,15 +25,10 @@ from repro.cluster import (
 )
 from repro.device.spec import DeviceSpec
 from repro.faults import FaultInjector, RungFailure
-from repro.obs import Tracer
-from repro.serve import (
-    Request,
-    Server,
-    ServerConfig,
-    TRNLadder,
-    poisson_trace,
-)
-from repro.serve.metrics import Counter, LatencyHistogram, ServerMetrics
+from repro.obs import Counter, LatencyHistogram, Tracer
+from repro.serve import Request, Server, ServerConfig, TRNLadder
+from repro.serve.metrics import ServerMetrics
+from repro.workload import poisson_trace
 
 
 def tiny_spec(name="test-device", speed=1.0):

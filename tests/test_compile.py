@@ -3,7 +3,7 @@
 Covers the three contracts the compiled forward path makes: numerical
 parity with the interpreter (every zoo network, batched and single
 sample), transparent plan invalidation (weight reassignment, structure
-edits, clones), and the fallback conditions (hooks, training, capture)
+edits, clones), and the fallback conditions (training, capture)
 under which forwards must route through the interpreted walk.
 """
 
@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import make_tiny_net
 from repro.nn.compile import (
     ANCHOR_TYPES,
     FUSABLE_TYPES,
@@ -60,15 +59,16 @@ class TestFusionDuality:
             kernel = build_kernel(0, conv.layer, [tail], in_shape, out_shape)
             assert kernel.fused, (
                 f"Conv2D+{tail_type.__name__} fell back to the interpreter "
-                "but repro.device.fusion prices it as one fused kernel")
+                "but the device latency model prices it as one fused kernel")
 
     def test_device_fusion_is_the_same_object(self):
-        # single source of truth: the latency model re-exports these
-        from repro.device import fusion as device_fusion
+        # single source of truth: the latency model groups kernels with
+        # the compiled path's own partition
+        import repro.device
+        from repro.device import latency
 
-        assert device_fusion.fuse_kernels is fuse_kernels
-        assert device_fusion.ANCHOR_TYPES is ANCHOR_TYPES
-        assert device_fusion.FUSABLE_TYPES is FUSABLE_TYPES
+        assert latency.fuse_kernels is fuse_kernels
+        assert repro.device.fuse_kernels is fuse_kernels
 
     def test_compiled_steps_match_fusion_groups(self, tiny_net):
         plan = ExecutionPlan(tiny_net)
@@ -197,20 +197,6 @@ class TestPlanInvalidation:
 
 
 class TestInterpreterFallback:
-    def test_hooks_fall_back_to_interpreted_walk(self, tiny_net):
-        tiny_net.compile()
-        seen = []
-        handle = tiny_net.register_forward_hook(
-            lambda net, node, ins, out: seen.append(node.name))
-        x = _batch(tiny_net, 2)
-        hooked = tiny_net.forward(x)
-        assert len(seen) == len(tiny_net.nodes)    # interpreter ran
-        tiny_net.remove_hook(handle)
-        seen.clear()
-        compiled = tiny_net.forward(x)
-        assert not seen                            # compiled path again
-        np.testing.assert_allclose(hooked, compiled, rtol=RTOL, atol=ATOL)
-
     def test_capture_falls_back(self, tiny_net):
         tiny_net.compile()
         out, acts = tiny_net.forward(_batch(tiny_net, 2), capture=["b1_relu"])

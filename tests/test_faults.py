@@ -29,13 +29,8 @@ from repro.faults import (
     ThermalThrottle,
     build_scenario,
 )
-from repro.serve import (
-    Server,
-    ServerConfig,
-    TRNLadder,
-    poisson_trace,
-    uniform_trace,
-)
+from repro.serve import Server, ServerConfig, TRNLadder
+from repro.workload import poisson_trace, uniform_trace
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(REPO, "src")

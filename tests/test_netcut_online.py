@@ -15,7 +15,8 @@ from repro.netcut.online import (
     select_rung,
 )
 from repro.obs import DriftMonitor
-from repro.serve import Server, ServerConfig, TRNLadder, poisson_trace
+from repro.serve import Server, ServerConfig, TRNLadder
+from repro.workload import poisson_trace
 
 
 # -- lightweight protocol stubs (the module is duck-typed on purpose) --------

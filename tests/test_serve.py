@@ -24,10 +24,8 @@ from repro.serve import (
     Server,
     ServerConfig,
     TRNLadder,
-    offered_load,
-    poisson_trace,
-    uniform_trace,
 )
+from repro.workload import offered_load, poisson_trace, uniform_trace
 
 
 @pytest.fixture(scope="module")
@@ -460,7 +458,7 @@ class TestMetricsSnapshot:
             assert needle in text
 
     def test_histogram_quantile_accuracy(self):
-        from repro.serve import LatencyHistogram
+        from repro.obs import LatencyHistogram
 
         hist = LatencyHistogram()
         rng = np.random.default_rng(0)
