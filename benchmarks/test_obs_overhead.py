@@ -43,9 +43,9 @@ REQUESTS = 400
 DEADLINE_MS = 0.9
 OVERHEAD_BUDGET = 0.10      # traced inference serving: at most 10% more
 SIM_OVERHEAD_CEILING = 0.40  # simulator-only regime: gross-regression guard
-SIM_TELEMETRY_CEILING = 0.80  # telemetry maintains the whole labeled
-                              # surface (family mirrors + per-virtual-ms
-                              # store samples), so against the simulator's
+SIM_TELEMETRY_CEILING = 0.80  # telemetry samples the whole labeled
+                              # surface once per virtual ms (collectors +
+                              # store points), so against the simulator's
                               # ~75µs/request denominator it reads ~50%;
                               # the ceiling only catches gross regressions
 EXEC_RUNS = 8               # runs per variant, execute=True (~0.4 s each)
@@ -152,11 +152,11 @@ def test_bench_tracing_overhead(ladder, trace, benchmark):
 def test_bench_telemetry_overhead(ladder, trace):
     """Labeled telemetry (families + sampling) adds <10% to inference.
 
-    Same protocol as the tracing benchmark: the telemetry path mirrors
-    every ``ServerMetrics`` event into labeled families, updates gauges
-    through registered collectors and samples the series store once per
-    virtual millisecond — all behind one ``if tele is not None`` guard,
-    so the unmetered path is untouched.
+    Same protocol as the tracing benchmark. ``ServerMetrics`` records
+    every event into its labeled families whether or not a telemetry is
+    attached; what attaching one adds is the sampling: gauges refreshed
+    through registered collectors and the series store sampled once per
+    virtual millisecond.
     """
     config = ServerConfig(deadline_ms=DEADLINE_MS, execute=True, seed=0)
     plain = Server(ladder, config)

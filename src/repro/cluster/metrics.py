@@ -2,8 +2,12 @@
 
 The cluster layer adds only what the single-node metrics cannot know —
 how requests were routed, what was dropped because no replica could take
-it, and when the autoscaler acted. Everything latency-shaped stays in
-each replica's own :class:`repro.serve.ServerMetrics`; the roll-up merges
+it, and when the autoscaler acted. Those counts are the children of the
+``cluster_requests_total{event}``, ``cluster_routed_total{replica}`` and
+``cluster_scale_events_total{action}`` families, in the router's
+:class:`repro.obs.Telemetry` or in a private one, so the snapshot and
+the exposition read the same objects. Everything latency-shaped stays in
+each replica's own :class:`repro.serve.ServerMetrics`; the roll-up folds
 those (bin-exact histogram merges, counter sums) into one cluster-wide
 view, and :meth:`ClusterMetrics.snapshot` nests all three levels so one
 snapshot exposes the fleet as one monitoring surface with a per-replica
@@ -15,8 +19,8 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 
-from repro.obs.telemetry import Counter
-from repro.serve.metrics import ServerMetrics
+from repro.obs.telemetry import Counter, Telemetry
+from repro.serve.metrics import ServerMetrics, _LabelSum
 
 __all__ = ["ScaleEvent", "ClusterMetrics"]
 
@@ -43,60 +47,63 @@ class ClusterMetrics:
     The replica list is shared with the router (replicas the autoscaler
     adds mid-run appear here automatically); snapshots deep-copy, so a
     caller may mutate what it got back without corrupting the live view.
+    Like :class:`repro.serve.ServerMetrics`, a new instance starts the
+    cluster families from zero on a telemetry shared with earlier runs.
     """
-
-    COUNTERS = ("arrived", "routed", "no_replica", "scale_ups",
-                "scale_downs")
 
     def __init__(self, replicas: list, telemetry=None):
         self.replicas = replicas
-        self.counters = {name: Counter(name) for name in self.COUNTERS}
-        self.per_replica: dict[str, int] = {}
-        self.scale_events: list[ScaleEvent] = []
         self.telemetry = telemetry
-        if telemetry is not None:
-            events = telemetry.counter(
-                "cluster_requests_total",
-                "cluster-level routing events", ("event",))
-            self._events = {e: events.child((e,))
-                            for e in ("arrived", "routed", "no_replica")}
-            self._routed_family = telemetry.counter(
-                "cluster_routed_total",
-                "requests dispatched per replica", ("replica",))
-            self._scale_family = telemetry.counter(
-                "cluster_scale_events_total",
-                "autoscaler actions", ("action",))
-            self._routed_children: dict[str, Counter] = {}
+        registry = Telemetry() if telemetry is None else telemetry
+        events = registry.counter(
+            "cluster_requests_total", "cluster-level routing events",
+            ("event",))
+        self._routed_family = registry.counter(
+            "cluster_routed_total", "requests dispatched per replica",
+            ("replica",))
+        self._scale_family = registry.counter(
+            "cluster_scale_events_total", "autoscaler actions", ("action",))
+        for family in (events, self._routed_family, self._scale_family):
+            family.drop()
+        self._routed: dict[str, Counter] = {}
+        self._scales: dict[tuple[str], Counter] = {}
+        self.counters = {
+            "arrived": events.child(("arrived",)),
+            "routed": events.child(("routed",)),
+            "no_replica": events.child(("no_replica",)),
+            "scale_ups": _LabelSum(self._scales, "scale-up"),
+            "scale_downs": _LabelSum(self._scales, "scale-down"),
+        }
+        self.scale_events: list[ScaleEvent] = []
 
     # -- recording -----------------------------------------------------------
     def record_arrival(self) -> None:
         self.counters["arrived"].increment()
-        if self.telemetry is not None:
-            self._events["arrived"].increment()
 
     def record_routed(self, replica: str) -> None:
         self.counters["routed"].increment()
-        self.per_replica[replica] = self.per_replica.get(replica, 0) + 1
-        if self.telemetry is not None:
-            self._events["routed"].increment()
-            child = self._routed_children.get(replica)
-            if child is None:
-                child = self._routed_children[replica] = \
-                    self._routed_family.child((replica,))
-            child.increment()
+        child = self._routed.get(replica)
+        if child is None:
+            child = self._routed[replica] = \
+                self._routed_family.child((replica,))
+        child.increment()
 
     def record_no_replica(self) -> None:
         """One request dropped because no replica could take it."""
         self.counters["no_replica"].increment()
-        if self.telemetry is not None:
-            self._events["no_replica"].increment()
 
     def record_scale(self, event: ScaleEvent) -> None:
-        key = "scale_ups" if event.action == "scale-up" else "scale_downs"
-        self.counters[key].increment()
+        key = (event.action,)
+        child = self._scales.get(key)
+        if child is None:
+            child = self._scales[key] = self._scale_family.child(key)
+        child.increment()
         self.scale_events.append(event)
-        if self.telemetry is not None:
-            self._scale_family.child((event.action,)).increment()
+
+    @property
+    def per_replica(self) -> dict[str, int]:
+        """Requests routed per replica, in first-routed order."""
+        return {name: child.value for name, child in self._routed.items()}
 
     # -- time-series roll-up -------------------------------------------------
     def merged_series(self, name: str) -> dict:
@@ -128,17 +135,7 @@ class ClusterMetrics:
             # replica (one ladder per deadline class per run)
             total.set_ladder(self.replicas[0].metrics.ladder)
         for replica in self.replicas:
-            m = replica.metrics
-            for name, counter in m.counters.items():
-                total.counters[name].increment(counter.value)
-            total.latency.merge(m.latency)
-            total.queue_wait.merge(m.queue_wait)
-            total.service.merge(m.service)
-            total.batch_occupancy_sum += m.batch_occupancy_sum
-            for rung, n in m.per_rung.items():
-                total.per_rung[rung] = total.per_rung.get(rung, 0) + n
-            total.merge_tenants(m.tenants)
-            total.events.extend(m.events)
+            total._merge(replica.metrics)
         total.events.sort(key=lambda e: e.time_ms)
         return total
 

@@ -81,8 +81,7 @@ class Replica:
         # replica=<name> label, the cluster analogue of ReplicaTracer
         self.metrics = ServerMetrics(self.config.deadline_ms,
                                      telemetry=telemetry,
-                                     labels=None if telemetry is None
-                                     else {"replica": name})
+                                     labels={"replica": name})
         self.engine = Engine(self.ladder, self.config, self.metrics,
                              tracer=self.tracer, drift=drift, faults=faults)
         self.clock_ms = 0.0
@@ -157,7 +156,7 @@ class Replica:
         self.advance(float("inf"))
         for resp in self.engine.drain(self.clock_ms):
             self.responses[resp.rid] = resp
-        telemetry = self.engine._telemetry
+        telemetry = self.metrics.telemetry
         if telemetry is not None:
             # closing sample: the replica's final counter values land in
             # the series even when it went idle between sampling instants

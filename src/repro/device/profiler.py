@@ -57,8 +57,12 @@ class LatencyTable:
 
         One row per recorded kernel in execution order — anchor node,
         fused member count, recorded latency and its share of the recorded
-        total — followed by the total-vs-end-to-end line that motivates
-        the paper's ratio formula. ``top`` keeps only the slowest kernels.
+        total — followed by the total-vs-end-to-end line. When the
+        recorded total exceeds the end-to-end time (the event-overhead
+        artefact that motivates the paper's ratio formula) the line says
+        so; a measured compiled-path table, whose end-to-end time is its
+        kernel sum, prints the two as equal. ``top`` keeps only the
+        slowest kernels.
         """
         total = self.recorded_total_ms
         rows = list(self.records)
@@ -71,10 +75,14 @@ class LatencyTable:
             lines.append(f"{r.anchor:28s} {len(r.node_names):>5d} "
                          f"{r.recorded_ms:>12.5f} "
                          f"{100 * r.recorded_ms / total:>6.2f}%")
-        lines.append(f"recorded total {total:.4f} ms  >  end-to-end "
-                     f"{self.end_to_end_ms:.4f} ms "
-                     f"(event overhead x{len(self.records)} kernels; "
-                     "the ratio formula cancels it)")
+        end = self.end_to_end_ms
+        relation = ">" if total > end else "<" if total < end else "="
+        summary = (f"recorded total {total:.4f} ms  {relation}  end-to-end "
+                   f"{end:.4f} ms")
+        if total > end:
+            summary += (f" (event overhead x{len(self.records)} kernels; "
+                        "the ratio formula cancels it)")
+        lines.append(summary)
         return "\n".join(lines)
 
 

@@ -87,6 +87,7 @@ class LatencyHistogram:
         decades = math.log10(hi_ms / lo_ms)
         self.n_bins = int(round(decades * bins_per_decade))
         self._ratio = (hi_ms / lo_ms) ** (1.0 / self.n_bins)
+        self._log_ratio = math.log(self._ratio)
         # two extra bins catch under/overflow
         self.counts = [0] * (self.n_bins + 2)
         self.count = 0
@@ -94,20 +95,21 @@ class LatencyHistogram:
         self.min_ms = float("inf")
         self.max_ms = 0.0
 
-    def _bin(self, ms: float) -> int:
-        if ms < self.lo_ms:
-            return 0
-        if ms >= self.hi_ms:
-            return self.n_bins + 1
-        return 1 + int(math.log(ms / self.lo_ms) / math.log(self._ratio))
-
     def observe(self, ms: float) -> None:
         """Record one latency sample (milliseconds)."""
-        self.counts[self._bin(ms)] += 1
+        if ms < self.lo_ms:
+            i = 0
+        elif ms >= self.hi_ms:
+            i = self.n_bins + 1
+        else:
+            i = 1 + int(math.log(ms / self.lo_ms) / self._log_ratio)
+        self.counts[i] += 1
         self.count += 1
         self.total_ms += ms
-        self.min_ms = min(self.min_ms, ms)
-        self.max_ms = max(self.max_ms, ms)
+        if ms < self.min_ms:
+            self.min_ms = ms
+        if ms > self.max_ms:
+            self.max_ms = ms
 
     @property
     def mean_ms(self) -> float:
@@ -240,6 +242,19 @@ class MetricFamily:
             child = self._children[values] = self._make()
         return child
 
+    def drop(self, suffix: tuple[str, ...] = ()) -> None:
+        """Forget every child whose label values end with ``suffix``.
+
+        The next touch creates them afresh at zero. A new serving run
+        calls this for its fixed label values (``()`` for a lone server,
+        ``(replica,)`` in a cluster), so a telemetry shared across runs
+        exposes the current run's counts; a previous run still holding
+        its old children keeps reading them unchanged.
+        """
+        cut = len(self.labelnames) - len(suffix)
+        for values in [v for v in self._children if v[cut:] == suffix]:
+            del self._children[values]
+
     def children(self):
         """Iterate ``(label_key, child)`` with label_key name/value pairs."""
         for values, child in self._children.items():
@@ -367,13 +382,13 @@ class TimeSeriesStore:
             groups.setdefault(rest, []).append(pts)
         out: dict[LabelKey, list[tuple[float, float]]] = {}
         for rest, sources in groups.items():
-            times = sorted({t for pts in sources for t, _ in pts})
+            seqs = [list(pts) for pts in sources]
+            times = sorted({t for seq in seqs for t, _ in seq})
             merged = []
-            cursors = [0] * len(sources)
-            last = [0.0] * len(sources)
+            cursors = [0] * len(seqs)
+            last = [0.0] * len(seqs)
             for t in times:
-                for i, pts in enumerate(sources):
-                    seq = list(pts)
+                for i, seq in enumerate(seqs):
                     while cursors[i] < len(seq) and seq[cursors[i]][0] <= t:
                         last[i] = seq[cursors[i]][1]
                         cursors[i] += 1

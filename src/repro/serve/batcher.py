@@ -25,13 +25,13 @@ class MicroBatcher:
     span per formed batch carrying the batch size; the engine's matching
     ``forward`` span carries the member rids and executed rung.
     ``on_form`` (a callable ``(size, stop)``, e.g.
-    :meth:`repro.serve.metrics.ServeTelemetry.batch_stop`) is invoked once
+    :meth:`repro.serve.metrics.ServerMetrics.batch_stop`) is invoked once
     per formed batch with the stop reason, feeding the labeled
-    stop-reason counters.
+    stop-reason counters; by default the reason is discarded.
     """
 
     def __init__(self, max_batch: int = 8, slack_margin_ms: float = 0.0,
-                 tracer=None, on_form=None):
+                 tracer=None, on_form=lambda size, stop: None):
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         if slack_margin_ms < 0:
@@ -70,19 +70,17 @@ class MicroBatcher:
                 stop = "deadline-fit"
                 break
             batch.append(queue.pop())
-        if self._emit is not None or self._on_form is not None:
-            # member rids ride the engine's matching "forward" span; the
-            # batched estimate and stop reason are stamped here because
-            # only the batcher knows *why* growth stopped (estimate_ms at
-            # the final size is one cached dict lookup, no per-member work)
-            if stop is None:
-                stop = ("max-batch" if len(batch) == self.max_batch
-                        else "queue-empty")
-            if self._on_form is not None:
-                self._on_form(len(batch), stop)
-            if self._emit is not None:
-                self._emit("batch", "batch", now_ms, 0.0, None,
-                           {"size": len(batch),
-                            "est_ms": rung.estimate_ms(len(batch)),
-                            "stop": stop})
+        # only the batcher knows *why* growth stopped; member rids ride
+        # the engine's matching "forward" span, the batched estimate and
+        # stop reason this one (estimate_ms at the final size is one
+        # cached dict lookup, no per-member work)
+        if stop is None:
+            stop = ("max-batch" if len(batch) == self.max_batch
+                    else "queue-empty")
+        self._on_form(len(batch), stop)
+        if self._emit is not None:
+            self._emit("batch", "batch", now_ms, 0.0, None,
+                       {"size": len(batch),
+                        "est_ms": rung.estimate_ms(len(batch)),
+                        "stop": stop})
         return batch

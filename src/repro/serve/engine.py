@@ -128,19 +128,13 @@ class Engine:
                     cooldown_ms=config.breaker_cooldown_ms,
                     listener=self._on_breaker_event)
                 for rung in ladder.rungs}
-        # telemetry rides on the metrics object: ServerMetrics owns the
-        # ServeTelemetry handle bundle (per-run labels included) and the
-        # engine wires its own components against the same bound children
-        self._tele = metrics.tele
-        self._telemetry = None if self._tele is None \
-            else self._tele.telemetry
-        self.queue = EDFQueue(
-            config.queue_capacity, tracer=tracer,
-            depth_gauge=None if self._tele is None
-            else self._tele.queue_depth)
+        # the engine wires its components against the metrics' bound
+        # children; only a telemetry the caller attached is ever sampled
+        self._telemetry = metrics.telemetry
+        self.queue = EDFQueue(config.queue_capacity, tracer=tracer)
         self.batcher = MicroBatcher(
             config.max_batch, config.batch_slack_ms, tracer=tracer,
-            on_form=None if self._tele is None else self._tele.batch_stop)
+            on_form=metrics.batch_stop)
         self.controller = (HysteresisController(
             config.deadline_ms, window=config.window,
             min_observations=config.min_observations,
@@ -203,12 +197,12 @@ class Engine:
                 if compiled is not None:
                     compiled.enable_timing()
                     self._kernel_timing = True
-        if self._tele is not None:
+        if self._telemetry is not None:
             # keyed registration: a fresh engine on the same telemetry
             # (next run, or this replica rebuilt) replaces its
             # predecessor's collector instead of piling up stale ones
             self._telemetry.collector(
-                "engine:" + self._tele.suffix, self._collect_telemetry)
+                "engine:" + metrics.suffix, self._collect_telemetry)
 
     # -- admission -----------------------------------------------------------
     def _admission_estimate_ms(self) -> float:
@@ -263,25 +257,25 @@ class Engine:
     def _collect_telemetry(self, now_ms: float) -> None:
         """Refresh the engine's gauges just before a telemetry sample.
 
-        Queue depth is already live (the queue sets its own gauge on every
-        push/pop); everything that is derived — ladder cursor, windowed
-        p99, offered rate, tenant shares — is computed here, once per
+        Every gauge — queue depth, ladder cursor, windowed p99, offered
+        rate, tenant shares — is read off live state here, once per
         sample instead of once per request.
         """
-        tele = self._tele
-        tele.rung_index.set(float(self.ladder.current_index))
-        tele.recent_p99.set(tele.recent_quantile(0.99))
+        m = self.metrics
+        m.queue_depth.set(float(len(self.queue)))
+        m.rung_index.set(float(self.ladder.current_index))
+        m.recent_p99.set(m.recent_quantile(0.99))
         rate = self._recent_rate_per_ms()
-        tele.arrival_rate.set(0.0 if rate is None else rate * 1e3)
+        m.arrival_rate.set(0.0 if rate is None else rate * 1e3)
         policy = self.admission_policy
         if policy is not None and hasattr(policy, "share_of"):
             for tenant in sorted(policy.weights):
-                share, fair = tele.share_gauges(tenant)
+                share, fair = m.share_gauges(tenant)
                 share.set(policy.share_of(tenant))
                 fair.set(policy.fair_share_of(tenant))
         if self.reestimator is not None:
             for rung in self.ladder.rungs:
-                tele.scale_gauge(rung.name).set(rung.estimate_scale)
+                m.scale_gauge(rung.name).set(rung.estimate_scale)
 
     def _record_kernel_times(self, rung) -> None:
         """Drain one executed batch's per-kernel wall-clock times.
@@ -297,7 +291,7 @@ class Engine:
         if compiled is None or not compiled.timing_enabled:
             return
         for name, (calls, total_ms) in compiled.drain_kernel_times().items():
-            self._tele.observe_kernel(name, rung.name, total_ms / calls)
+            self.metrics.observe_kernel(name, rung.name, total_ms / calls)
 
     # -- ladder control ------------------------------------------------------
     def _recent_rate_per_ms(self) -> float | None:
@@ -555,7 +549,7 @@ class Engine:
         outputs = None
         if self.config.execute and all(r.x is not None for r in batch):
             outputs = rung.forward([r.x for r in batch])
-            if self._kernel_timing and self._tele is not None:
+            if self._kernel_timing and self._telemetry is not None:
                 self._record_kernel_times(rung)
         self.metrics.record_batch(len(batch))
         if self._emit is not None:
@@ -622,11 +616,8 @@ class Engine:
             if self.faults is not None:
                 self._tick_faults(now)
             self._admit(pending, now, responses)
-            if not len(self.queue):
-                if self._telemetry is not None:
-                    self._telemetry.maybe_sample(now)
-                continue
-            now = self._serve_step(now, responses)
+            if len(self.queue):
+                now = self._serve_step(now, responses)
             if self._telemetry is not None:
                 self._telemetry.maybe_sample(now)
         return now

@@ -22,20 +22,16 @@ class EDFQueue:
 
     ``tracer`` (any object with an ``emit`` method, e.g.
     :class:`repro.obs.Tracer`) receives one ``enqueue`` span per accepted
-    request, stamped with the queue depth after insertion. ``depth_gauge``
-    (anything with ``set``, e.g. a telemetry gauge child) tracks the live
-    depth across push/pop/drain so the sampled series sees every change,
-    not just the depth at sampling instants.
+    request, stamped with the queue depth after insertion.
     """
 
-    def __init__(self, capacity: int = 128, tracer=None, depth_gauge=None):
+    def __init__(self, capacity: int = 128, tracer=None):
         if capacity < 1:
             raise ValueError("queue capacity must be >= 1")
         self.capacity = capacity
         self.tracer = tracer
         # bound-method cache: push() runs once per admitted request
         self._emit = None if tracer is None else tracer.emit
-        self.depth_gauge = depth_gauge
         self._heap: list[tuple[float, int, Request]] = []
         self._seq = 0
         self._last_span_ms = 0.0
@@ -62,8 +58,6 @@ class EDFQueue:
         heapq.heappush(self._heap,
                        (request.abs_deadline_ms, self._seq, request))
         self._seq += 1
-        if self.depth_gauge is not None:
-            self.depth_gauge.set(float(len(self._heap)))
         if self._emit is not None:
             ts = request.arrival_ms if now_ms is None else now_ms
             if ts < self._last_span_ms:
@@ -83,10 +77,7 @@ class EDFQueue:
         """Remove and return the earliest-deadline request."""
         if not self._heap:
             raise IndexError("pop on empty EDFQueue")
-        request = heapq.heappop(self._heap)[2]
-        if self.depth_gauge is not None:
-            self.depth_gauge.set(float(len(self._heap)))
-        return request
+        return heapq.heappop(self._heap)[2]
 
     def drain(self) -> list[Request]:
         """Remove every queued request in EDF order."""

@@ -65,10 +65,12 @@ class Server:
     :meth:`run_trace` calls — clear them between runs if per-run traces
     are wanted.
 
-    ``telemetry`` (a :class:`repro.obs.Telemetry`) mirrors every metrics
-    recording into labeled time-series families sampled on the virtual
-    clock (see :mod:`repro.obs.telemetry`); like the tracer it is shared
-    across runs — each run's series continue in the same store.
+    ``telemetry`` (a :class:`repro.obs.Telemetry`) holds the labeled
+    families every metrics recording goes into and samples them on the
+    virtual clock (see :mod:`repro.obs.telemetry`). Like the tracer it is
+    shared across runs, but each run starts the families from zero: the
+    exposition shows the latest run's counts, and the earlier runs'
+    sampled points stay in the store.
 
     ``faults`` (a :class:`repro.faults.FaultInjector`) subjects every run
     to its chaos scenario: the ladder is served through fault-perturbed

@@ -1,7 +1,9 @@
 """Tests for the device substrate: fusion, latency model, runtime, profiler."""
 
+import numpy as np
 import pytest
 
+from conftest import make_tiny_net
 from repro.device import (
     DeviceSpec,
     fuse_kernels,
@@ -159,6 +161,25 @@ class TestProfiler:
         """The paper's observation: per-layer event sums are inflated."""
         table = profile_network(tiny_net, tiny_device)
         assert table.recorded_total_ms > table.end_to_end_ms
+
+    def test_describe_blames_event_overhead_when_total_exceeds(
+            self, tiny_net, tiny_device):
+        last = profile_network(tiny_net, tiny_device).describe() \
+            .splitlines()[-1]
+        assert "  >  end-to-end" in last and "event overhead" in last
+
+    def test_describe_of_a_measured_table_prints_equal_totals(self):
+        net = make_tiny_net()
+        plan = net.compile()
+        plan.enable_timing()
+        x = np.zeros(net.input_shape, dtype=np.float32)
+        for _ in range(3):
+            net.forward_one(x)
+        table = plan.latency_table()
+        total = table.recorded_total_ms
+        assert total == table.end_to_end_ms
+        assert table.describe().splitlines()[-1] == (
+            f"recorded total {total:.4f} ms  =  end-to-end {total:.4f} ms")
 
     def test_one_record_per_kernel(self, tiny_net, tiny_device):
         table = profile_network(tiny_net, tiny_device)

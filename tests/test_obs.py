@@ -755,6 +755,43 @@ class TestServeTelemetry:
         assert telemetry.store.latest("serve_requests_total",
                                       (("event", "arrived"),)) == 300
 
+    def test_shared_telemetry_shows_the_current_run(self, ladder):
+        from repro.obs import Telemetry
+        from repro.workload import (
+            ConstantRate,
+            default_tenants,
+            generate_trace,
+        )
+
+        full = ladder.rungs[0].estimate_ms(1)
+        first = generate_trace(ConstantRate(1.3e3 / full), 300 * full,
+                               tenants=default_tenants(), rng=0)
+        second = poisson_trace(200, 1.3e3 / full, 1.0, rng=1)
+        config = ServerConfig(deadline_ms=1.0, execute=False, seed=0)
+        telemetry = Telemetry(sample_interval_ms=1.0)
+        server = Server(ladder, config, telemetry=telemetry)
+        one = server.run_trace(first)
+        first_snapshot = one.metrics.snapshot()
+        two = server.run_trace(second)
+
+        fresh = Server(ladder, config).run_trace(second)
+        assert two.metrics.snapshot() == fresh.metrics.snapshot()
+        # the families hold the second run's counts, not both runs' sum
+        fam = telemetry.families["serve_requests_total"]
+        exposed = {dict(k)["event"]: c.value for k, c in fam.children()}
+        assert exposed["arrived"] == 200
+        for event, n in exposed.items():
+            assert n == two.metrics.counters[event].value
+        # the second run was untagged: no tenant children survive
+        assert not list(
+            telemetry.families["serve_tenant_requests_total"].children())
+        # the first run's result still reads its own counts
+        assert one.metrics.snapshot() == first_snapshot
+        # and its sampled points stay in the store
+        arrived = [v for _, v in telemetry.store.series(
+            "serve_requests_total", (("event", "arrived"),))]
+        assert len(first) in arrived and arrived[-1] == 200
+
     def test_breaker_rung_label(self, device):
         # a breaker transition carries the rung that tripped it
         m = ServerMetrics(deadline_ms=1.0)
