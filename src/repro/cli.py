@@ -28,8 +28,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 
 def _workbench(args):
     from repro import ExperimentConfig, Workbench
@@ -50,6 +48,84 @@ def _workbench(args):
                 if quick else None)
     return Workbench(config, cache_dir=getattr(args, "cache_dir", None),
                      pretrain_config=pretrain)
+
+
+def _bounded(convert, ok, what: str):
+    """An argparse type: ``convert`` the text, reject values failing ``ok``."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return value
+    return parse
+
+
+_COUNT = _bounded(int, lambda v: v >= 1, "an integer >= 1")
+_RATE = _bounded(float, lambda v: 0 < v < float("inf"), "a finite number > 0")
+
+
+def _scenario_flags(p, *, deadline_ms: float | None,
+                    requests: int | None = None, rate: str | None = None,
+                    max_rungs: int = 6, seed: int | None = 0,
+                    deadline_help: str | None = None,
+                    max_rungs_help: str | None = None) -> None:
+    """Declare the flags every serving verb shares, with the verb's defaults.
+
+    ``requests`` is the default trace length and ``rate`` describes the
+    default offered load; a verb that draws no Poisson trace passes
+    neither and gets no ``--requests``/``--rate``. ``seed=None`` omits
+    ``--seed``.
+    """
+    p.add_argument("--net", default="mobilenet_v1_0.5",
+                   help="zoo network (exact name, prefix or substring)")
+    p.add_argument("--deadline-ms", type=float, default=deadline_ms,
+                   help=deadline_help)
+    if requests is not None:
+        p.add_argument("--requests", type=_COUNT, default=requests)
+        p.add_argument("--rate", type=_RATE, default=None,
+                       help=f"offered load in requests/s (default: {rate})")
+    p.add_argument("--max-rungs", type=_COUNT, default=max_rungs,
+                   help=max_rungs_help)
+    if seed is not None:
+        p.add_argument("--seed", type=int, default=seed)
+
+
+def _base(args):
+    """The zoo network ``--net`` names, by exact name, prefix or substring."""
+    from repro.zoo import build_network
+
+    return build_network(_resolve_net(args.net)).build(0)
+
+
+def _ladder(args, base=None, spec=None):
+    """The TRN ladder of ``base`` (default: ``--net``) on ``spec``.
+
+    ``spec`` defaults to the simulated Xavier; ``--max-rungs`` caps the
+    ladder's length.
+    """
+    from repro.device import xavier
+    from repro.serve import TRNLadder
+
+    return TRNLadder.from_base(base or _base(args), spec or xavier(),
+                               num_classes=5, max_rungs=args.max_rungs)
+
+
+def _trace(args, default_rate: float, deadline_ms: float | None = None,
+           uniform: bool = False, **kwargs):
+    """``--requests`` arrivals at ``--rate``, else at ``default_rate`` req/s.
+
+    Poisson unless ``uniform``; every request carries ``deadline_ms``
+    (default: ``--deadline-ms``). Returns ``(rate, trace)``.
+    """
+    from repro.workload import poisson_trace, uniform_trace
+
+    rate = args.rate or default_rate
+    maker = uniform_trace if uniform else poisson_trace
+    return rate, maker(args.requests, rate, deadline_ms or args.deadline_ms,
+                       rng=args.seed, **kwargs)
 
 
 def cmd_zoo(args) -> int:
@@ -136,10 +212,9 @@ def cmd_netcut_build(args) -> int:
         frontier_artifacts,
         save_artifact,
     )
-    from repro.zoo import build_network
 
     spec = DEVICE_PROFILES[args.device]()
-    base = build_network(_resolve_net(args.net)).build(0)
+    base = _base(args)
     names = args.strategy or sorted(BUILDERS)
     per_strategy = build_rungs(base, spec,
                                builders=[BUILDERS[n]() for n in names],
@@ -186,24 +261,18 @@ def cmd_netcut_online(args) -> int:
     the drift -> re-fit -> ladder-rebuild loop's effect on the deadline-
     miss rate reads side by side.
     """
-    from repro.device import xavier
     from repro.faults import FaultInjector, ThermalThrottle
     from repro.obs import DriftMonitor
-    from repro.serve import Server, ServerConfig, TRNLadder
-    from repro.workload import poisson_trace
-    from repro.zoo import build_network
+    from repro.serve import Server, ServerConfig
 
-    device = xavier()
-    base = build_network(_resolve_net(args.net)).build(0)
-    ladder = TRNLadder.from_base(base, device, num_classes=5,
-                                 max_rungs=args.max_rungs)
+    base = _base(args)
+    ladder = _ladder(args, base)
     full = ladder.rungs[0].estimate_ms(1)
-    deadline = args.deadline_ms if args.deadline_ms else round(1.3 * full, 3)
-    rate = args.rate if args.rate else 0.4e3 / full
-    trace = poisson_trace(args.requests, rate, deadline, rng=args.seed)
+    deadline = args.deadline_ms or round(1.3 * full, 3)
+    rate, trace = _trace(args, 0.4e3 / full, deadline)
     span = trace[-1].arrival_ms
-    print(f"device: {device.name}   ladder: {len(ladder)} rungs of "
-          f"{base.name}   deadline: {deadline} ms")
+    print(f"device: {ladder.rungs[0].spec.name}   ladder: {len(ladder)} "
+          f"rungs of {base.name}   deadline: {deadline} ms")
     print(f"{args.requests} Poisson requests @ {rate:,.0f} req/s; thermal "
           f"throttle to {args.factor}x from t={0.1 * span:,.0f} ms "
           f"(never recovers)")
@@ -245,29 +314,14 @@ def cmd_netcut_online(args) -> int:
 
 def cmd_estimators(args) -> int:
     """Print the Fig. 9 estimator-error table."""
-    from repro.estimators import relative_error
-    from repro.trim import removed_node_set
+    from repro.report import estimator_errors
 
     wb = _workbench(args)
-    points = wb.latency_dataset()
-    truth = np.array([p.measured_ms for p in points])
-    profiler = wb.profiler_adapter()
-    prof = np.array([
-        profiler._estimator_for(wb.base(p.base_name)).estimate(
-            removed_node_set(wb.base(p.base_name), p.cut_node))
-        for p in points])
-    svr, _ = wb.analytical_model("rbf")
-    lin, _ = wb.analytical_model("linear-ols")
-    feats = [p.features for p in points]
-    svr_pred, lin_pred = svr.predict(feats), lin.predict(feats)
-    names = [p.base_name for p in points]
+    errors = estimator_errors(wb)
     print(f"{'network':22s} {'profiler%':>10} {'svr%':>8} {'linear%':>9}")
     for net in wb.config.networks:
-        mask = np.array([n == net for n in names])
-        print(f"{net:22s} "
-              f"{relative_error(prof[mask], truth[mask]):>10.2f} "
-              f"{relative_error(svr_pred[mask], truth[mask]):>8.2f} "
-              f"{relative_error(lin_pred[mask], truth[mask]):>9.2f}")
+        prof, svr, lin = errors[net]
+        print(f"{net:22s} {prof:>10.2f} {svr:>8.2f} {lin:>9.2f}")
     return 0
 
 
@@ -302,20 +356,13 @@ def cmd_serve(args) -> int:
     By default the offered load is calibrated to overload the full TRN so
     the ladder degradation is visible; pass ``--rate`` to choose your own.
     """
-    from repro.device import xavier
-    from repro.serve import Server, ServerConfig, TRNLadder
-    from repro.workload import poisson_trace, uniform_trace
-    from repro.zoo import build_network
+    from repro.serve import Server, ServerConfig
 
-    device = xavier()
-    base = build_network(args.net).build(0)
-    ladder = TRNLadder.from_base(base, device, num_classes=5,
-                                 max_rungs=args.max_rungs)
-    full_est = ladder.rungs[0].estimate_ms(1)
-    rate = args.rate if args.rate else 1.3e3 / full_est
-    maker = poisson_trace if args.trace == "poisson" else uniform_trace
-    trace = maker(args.requests, rate, args.deadline_ms, rng=args.seed,
-                  image_size=base.input_shape[0], render=args.execute)
+    base = _base(args)
+    ladder = _ladder(args, base)
+    rate, trace = _trace(args, 1.3e3 / ladder.rungs[0].estimate_ms(1),
+                         uniform=args.trace == "uniform",
+                         image_size=base.input_shape[0], render=args.execute)
     config = ServerConfig(deadline_ms=args.deadline_ms,
                           max_batch=args.max_batch,
                           adaptive=not args.no_ladder,
@@ -323,7 +370,7 @@ def cmd_serve(args) -> int:
     server = Server(ladder, config)
     result = server.run_trace(trace)
 
-    print(f"TRN ladder for {args.net} on {device.name}:")
+    print(f"TRN ladder for {base.name} on {ladder.rungs[0].spec.name}:")
     print(ladder.describe())
     print(f"\n{args.trace} trace: {args.requests} requests @ "
           f"{rate:,.0f} req/s, deadline {args.deadline_ms} ms, "
@@ -390,25 +437,16 @@ def cmd_trace(args) -> int:
     trace export) and an estimator-drift monitor; prints the final rung
     and each component's report.
     """
-    from repro.device import xavier
     from repro.obs import (
         DriftMonitor,
         Tracer,
         write_chrome_trace,
         write_jsonl,
     )
-    from repro.serve import Server, ServerConfig, TRNLadder
-    from repro.workload import poisson_trace
-    from repro.zoo import build_network
+    from repro.serve import Server, ServerConfig
 
-    device = xavier()
-    base = build_network(_resolve_net(args.net)).build(0)
-    ladder = TRNLadder.from_base(base, device, num_classes=5,
-                                 max_rungs=args.max_rungs)
-    full_est = ladder.rungs[0].estimate_ms(1)
-    rate = args.rate if args.rate else 1.3e3 / full_est
-    trace = poisson_trace(args.requests, rate, args.deadline_ms,
-                          rng=args.seed)
+    ladder = _ladder(args)
+    rate, trace = _trace(args, 1.3e3 / ladder.rungs[0].estimate_ms(1))
     tracer = Tracer(capacity=args.buffer)
     drift = DriftMonitor(threshold=args.drift_threshold)
     server = Server(ladder, ServerConfig(deadline_ms=args.deadline_ms,
@@ -443,21 +481,11 @@ def cmd_faults(args) -> int:
     rates can be read side by side; ``--no-resilience`` runs only the
     undefended engine.
     """
-    from repro.device import xavier
     from repro.faults import build_scenario
-    from repro.serve import Server, ServerConfig, TRNLadder
-    from repro.workload import poisson_trace
-    from repro.zoo import build_network
+    from repro.serve import Server, ServerConfig
 
-    device = xavier()
-    base = build_network(_resolve_net(args.net)).build(0)
-    ladder = TRNLadder.from_base(base, device, num_classes=5,
-                                 max_rungs=args.max_rungs)
-    full_est = ladder.rungs[0].estimate_ms(1)
-    rate = args.rate if args.rate else 1.3e3 / full_est
-    trace = poisson_trace(args.requests, rate, args.deadline_ms,
-                          rng=args.seed)
-    span_ms = trace[-1].arrival_ms if trace else 0.0
+    ladder = _ladder(args)
+    rate, trace = _trace(args, 1.3e3 / ladder.rungs[0].estimate_ms(1))
     if args.rung:
         rungs = tuple(args.rung)
     elif args.scenario in ("rung-failure", "mixed"):
@@ -466,8 +494,8 @@ def cmd_faults(args) -> int:
         rungs = (ladder.rungs[0].name,)
     else:
         rungs = None
-    scenario = build_scenario(args.scenario, span_ms, seed=args.seed,
-                              rungs=rungs)
+    scenario = build_scenario(args.scenario, trace[-1].arrival_ms,
+                              seed=args.seed, rungs=rungs)
     print(scenario.describe())
     print(f"\n{args.requests} Poisson requests @ {rate:,.0f} req/s, "
           f"deadline {args.deadline_ms} ms, seed {args.seed}")
@@ -495,21 +523,6 @@ def cmd_faults(args) -> int:
     return 0
 
 
-def _workload_ladder(args):
-    """Ladder + pinned-rung ServerConfig shared by the workload verbs."""
-    from repro.device import xavier
-    from repro.serve import ServerConfig, TRNLadder
-    from repro.zoo import build_network
-
-    base = build_network(_resolve_net(args.net)).build(0)
-    ladder = TRNLadder.from_base(base, xavier(), num_classes=5,
-                                 max_rungs=args.max_rungs)
-    config = ServerConfig(deadline_ms=args.deadline_ms, execute=False,
-                          adaptive=not args.no_ladder, seed=args.seed,
-                          queue_capacity=args.queue_capacity)
-    return ladder, config
-
-
 def cmd_workload(args) -> int:
     """Production traffic: generate/record, replay, or fluid-predict.
 
@@ -523,10 +536,9 @@ def cmd_workload(args) -> int:
     sweeps fleet sizes / plans the smallest fleet for a miss target.
     """
     import repro.workload as wl
-    from dataclasses import replace
-    from repro.serve import Server
+    from repro.serve import Server, ServerConfig
 
-    ladder, config = _workload_ladder(args)
+    ladder = _ladder(args)
     mix = wl.default_tenants() if args.tenants else None
     policy = None
     if args.fair:
@@ -534,7 +546,10 @@ def cmd_workload(args) -> int:
             raise SystemExit("--fair needs --tenants (weighted-fair "
                              "admission is per-tenant)")
         policy = wl.WeightedFairAdmission(mix, watermark=args.watermark)
-        config = replace(config, admission_policy=policy)
+    config = ServerConfig(deadline_ms=args.deadline_ms, execute=False,
+                          adaptive=not args.no_ladder, seed=args.seed,
+                          queue_capacity=args.queue_capacity,
+                          admission_policy=policy)
 
     if args.workload_cmd == "replay":
         recorded = wl.load_trace(args.path)
@@ -620,55 +635,45 @@ def cmd_cluster(args) -> int:
         AutoscalerConfig,
         Replica,
         Router,
-        homogeneous_replicas,
         make_policy,
     )
-    from repro.device import DEVICE_PROFILES, xavier
+    from repro.device import DEVICE_PROFILES
     from repro.faults import build_scenario
-    from repro.serve import ServerConfig, TRNLadder
-    from repro.workload import poisson_trace
-    from repro.zoo import build_network
+    from repro.serve import ServerConfig
 
-    base = build_network(_resolve_net(args.net)).build(0)
+    specs = ([DEVICE_PROFILES[name]() for name in args.device]
+             if args.device else [None] * args.replicas)
+    fleet_size = args.replicas if args.autoscale else len(specs)
+    if args.kill_replica is not None \
+            and not 0 <= args.kill_replica < fleet_size:
+        raise SystemExit(f"--kill-replica {args.kill_replica} out of range; "
+                         f"the fleet has {fleet_size} replica(s)")
+    base = _base(args)
     config = ServerConfig(deadline_ms=args.deadline_ms,
                           max_batch=args.max_batch, execute=False,
                           seed=args.seed, queue_capacity=64, window=16,
                           min_observations=8, cooldown=8,
                           resilience=args.kill_replica is not None)
-    probe = TRNLadder.from_base(base, xavier(), num_classes=5,
-                                max_rungs=args.max_rungs)
-    rate = args.rate if args.rate else \
-        0.8e3 * args.replicas / probe.fastest.estimate_ms(1)
-    trace = poisson_trace(args.requests, rate, args.deadline_ms,
-                          rng=args.seed)
-    span_ms = trace[-1].arrival_ms if trace else 0.0
+    probe = _ladder(args, base)
+    rate, trace = _trace(
+        args, 0.8e3 * args.replicas / probe.fastest.estimate_ms(1))
 
     def build_replica(i: int, spec=None) -> Replica:
-        spec = spec or xavier()
-        ladder = TRNLadder.from_base(base, spec, num_classes=5,
-                                     max_rungs=args.max_rungs)
         faults = None
         if args.kill_replica == i:
-            faults = build_scenario("rung-failure", span_ms,
+            faults = build_scenario("rung-failure", trace[-1].arrival_ms,
                                     seed=args.seed).injector()
-        return Replica(f"r{i}", ladder,
+        return Replica(f"r{i}", _ladder(args, base, spec),
                        replace(config, seed=config.seed + i), faults=faults)
-
-    if args.device:
-        specs = [DEVICE_PROFILES[name]() for name in args.device]
-        replicas = [build_replica(i, spec) for i, spec in enumerate(specs)]
-    elif args.kill_replica is not None:
-        replicas = [build_replica(i) for i in range(args.replicas)]
-    else:
-        replicas = homogeneous_replicas(base, xavier(), args.replicas,
-                                        config, max_rungs=args.max_rungs)
 
     autoscaler = None
     if args.autoscale:
-        replicas = replicas[:1]
+        # start from one replica; the autoscaler builds the rest on Xavier
+        specs = specs[:1]
         autoscaler = Autoscaler(build_replica, AutoscalerConfig(
             max_replicas=args.replicas, check_interval_ms=1.0,
             cooldown_ms=2.0, up_load=4.0))
+    replicas = [build_replica(i, spec) for i, spec in enumerate(specs)]
 
     policy = make_policy(args.policy, args.seed)
     result = Router(replicas, policy, autoscaler=autoscaler).run(trace)
@@ -768,22 +773,14 @@ def cmd_obs(args) -> int:
         return 0
 
     # expose / alerts: one telemetered serving replay
-    from repro.device import xavier
-    from repro.serve import Server, ServerConfig, TRNLadder
-    from repro.workload import poisson_trace
-    from repro.zoo import build_network
+    from repro.serve import Server, ServerConfig
 
-    device = xavier()
-    base = build_network(_resolve_net(args.net)).build(0)
-    ladder = TRNLadder.from_base(base, device, num_classes=5,
-                                 max_rungs=args.max_rungs)
+    ladder = _ladder(args)
     full_est = ladder.rungs[0].estimate_ms(1)
     telemetry = Telemetry(sample_interval_ms=args.sample_ms)
 
     if args.obs_cmd == "expose":
-        rate = args.rate if args.rate else 1.3e3 / full_est
-        trace = poisson_trace(args.requests, rate, args.deadline_ms,
-                              rng=args.seed)
+        _, trace = _trace(args, 1.3e3 / full_est)
         config = ServerConfig(deadline_ms=args.deadline_ms, execute=False,
                               seed=args.seed)
         Server(ladder, config, telemetry=telemetry).run_trace(trace)
@@ -803,11 +800,8 @@ def cmd_obs(args) -> int:
     # both rules mid-storm and resolve them in the quiet tail).
     from repro.faults import build_scenario
 
-    rate = args.rate if args.rate else 0.65e3 / full_est
-    trace = poisson_trace(args.requests, rate, args.deadline_ms,
-                          rng=args.seed)
-    span_ms = trace[-1].arrival_ms if trace else 0.0
-    scenario = build_scenario(args.scenario, span_ms * 0.5,
+    rate, trace = _trace(args, 0.65e3 / full_est)
+    scenario = build_scenario(args.scenario, trace[-1].arrival_ms * 0.5,
                               seed=args.fault_seed)
     engine = AlertEngine(default_slo_rules(args.deadline_ms,
                                            miss_budget=args.miss_budget,
@@ -886,19 +880,15 @@ def build_parser() -> argparse.ArgumentParser:
     pb = nsub.add_parser(
         "build",
         help="bake off the ladder builders, print the mixed frontier")
-    pb.add_argument("--net", default="mobilenet_v1_0.5",
-                    help="zoo network (exact name, prefix or substring)")
+    _scenario_flags(pb, deadline_ms=None, max_rungs=4, seed=None,
+                    deadline_help="deadline for acc@deadline (overrides "
+                                  "the fraction)",
+                    max_rungs_help="rung budget per strategy")
     pb.add_argument("--device", default="xavier",
                     choices=["xavier", "nano", "agx_boosted"])
     pb.add_argument("--strategy", action="append", default=None,
                     choices=["greedy", "filter-prune", "halp", "dp-depth"],
                     help="builder to run (repeatable; default: all)")
-    pb.add_argument("--max-rungs", type=int, default=4, dest="max_rungs",
-                    help="rung budget per strategy")
-    pb.add_argument("--deadline-ms", type=float, default=None,
-                    dest="deadline_ms",
-                    help="deadline for acc@deadline (overrides the "
-                         "fraction)")
     pb.add_argument("--deadline-frac", type=float, default=0.6,
                     dest="deadline_frac",
                     help="deadline as a fraction of the full model "
@@ -908,21 +898,14 @@ def build_parser() -> argparse.ArgumentParser:
     po = nsub.add_parser(
         "online",
         help="drift-triggered re-estimation + live ladder rebuild")
-    po.add_argument("--net", default="mobilenet_v1_0.5",
-                    help="zoo network (exact name, prefix or substring)")
-    po.add_argument("--deadline-ms", type=float, default=None,
-                    dest="deadline_ms",
-                    help="serving deadline (default: 1.3x the full TRN)")
-    po.add_argument("--requests", type=int, default=1000)
-    po.add_argument("--rate", type=float, default=None,
-                    help="offered load in requests/s (default: 0.4x the "
-                         "full TRN's single-request capacity)")
-    po.add_argument("--max-rungs", type=int, default=6, dest="max_rungs")
+    _scenario_flags(po, deadline_ms=None, requests=1000,
+                    rate="0.4x the full TRN's single-request capacity",
+                    deadline_help="serving deadline (default: 1.3x the "
+                                  "full TRN)")
     po.add_argument("--factor", type=float, default=2.5,
                     help="thermal-throttle slowdown factor")
     po.add_argument("--method", default="ratio", choices=["ratio", "svr"],
                     help="re-estimation fit (per-rung median or pooled SVR)")
-    po.add_argument("--seed", type=int, default=0)
     po.add_argument("--verbose", action="store_true",
                     help="also print the drift monitor's event report")
 
@@ -933,26 +916,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pareto", help="TRN Pareto frontier + scatter")
     p.add_argument("--deadline", type=float, default=0.9)
 
+    full_trn = "1.3x the full TRN's single-request capacity"
     p = sub.add_parser("serve",
                        help="deadline-aware serving on a TRN ladder")
-    p.add_argument("--deadline-ms", type=float, default=0.9,
-                   dest="deadline_ms")
+    _scenario_flags(p, deadline_ms=0.9, requests=400, rate=full_trn)
     p.add_argument("--trace", choices=["poisson", "uniform"],
                    default="poisson")
-    p.add_argument("--net", default="mobilenet_v1_0.5",
-                   help="zoo network whose TRN ladder serves the traffic")
-    p.add_argument("--requests", type=int, default=400)
-    p.add_argument("--rate", type=float, default=None,
-                   help="offered load in requests/s (default: 1.3x the "
-                        "full TRN's single-request capacity)")
     p.add_argument("--max-batch", type=int, default=8, dest="max_batch")
-    p.add_argument("--max-rungs", type=int, default=6, dest="max_rungs")
     p.add_argument("--no-ladder", action="store_true", dest="no_ladder",
                    help="pin the full TRN (disable degradation)")
     p.add_argument("--execute", action="store_true",
                    help="run real forward passes on rendered images "
                         "(slower; default is timing-only simulation)")
-    p.add_argument("--seed", type=int, default=0)
 
     from repro.faults import SCENARIOS
 
@@ -961,15 +936,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", default="straggler-storm",
                    choices=sorted(SCENARIOS),
                    help="built-in chaos scenario to replay")
-    p.add_argument("--net", default="mobilenet_v1_0.5",
-                   help="zoo network (exact name, prefix or substring)")
-    p.add_argument("--deadline-ms", type=float, default=0.9,
-                   dest="deadline_ms")
-    p.add_argument("--requests", type=int, default=400)
-    p.add_argument("--rate", type=float, default=None,
-                   help="offered load in requests/s (default: 1.3x the "
-                        "full TRN's single-request capacity)")
-    p.add_argument("--max-rungs", type=int, default=6, dest="max_rungs")
+    _scenario_flags(p, deadline_ms=0.9, requests=400, rate=full_trn)
     p.add_argument("--rung", action="append", default=None,
                    help="rung name targeted by rung-specific faults "
                         "(repeatable; default: the most accurate rung)")
@@ -980,14 +947,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="replay only the undefended engine")
     p.add_argument("--verbose", action="store_true",
                    help="print the injector's fault event log")
-    p.add_argument("--seed", type=int, default=0)
 
     from repro.cluster import POLICIES
     from repro.device import DEVICE_PROFILES
 
     p = sub.add_parser("cluster",
                        help="multi-replica scale-out serving")
-    p.add_argument("--replicas", type=int, default=3,
+    _scenario_flags(p, deadline_ms=3.0, requests=2000,
+                    rate="~1.4x one replica's batched capacity per fleet "
+                         "replica")
+    p.add_argument("--replicas", type=_COUNT, default=3,
                    help="fleet size (with --autoscale: the cap)")
     p.add_argument("--policy", default="p2c-deadline",
                    choices=sorted(POLICIES),
@@ -996,15 +965,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=sorted(DEVICE_PROFILES),
                    help="device profile per replica (repeatable; builds "
                         "a heterogeneous fleet and overrides --replicas)")
-    p.add_argument("--net", default="mobilenet_v1_0.5",
-                   help="zoo network (exact name, prefix or substring)")
-    p.add_argument("--deadline-ms", type=float, default=3.0,
-                   dest="deadline_ms")
-    p.add_argument("--requests", type=int, default=2000)
-    p.add_argument("--rate", type=float, default=None,
-                   help="offered load in requests/s (default: ~1.4x one "
-                        "replica's batched capacity per fleet replica)")
-    p.add_argument("--max-rungs", type=int, default=6, dest="max_rungs")
     p.add_argument("--max-batch", type=int, default=8, dest="max_batch")
     p.add_argument("--autoscale", action="store_true",
                    help="start from one replica and let the autoscaler "
@@ -1013,7 +973,6 @@ def build_parser() -> argparse.ArgumentParser:
                    dest="kill_replica", metavar="INDEX",
                    help="hard-fail this replica's rungs mid-trace "
                         "(rung-failure scenario; enables resilience)")
-    p.add_argument("--seed", type=int, default=0)
 
     from repro.workload import WORKLOAD_KINDS
 
@@ -1022,13 +981,9 @@ def build_parser() -> argparse.ArgumentParser:
     wsub = p.add_subparsers(dest="workload_cmd", required=True)
 
     def _workload_common(wp, with_process=True):
-        wp.add_argument("--net", default="mobilenet_v1_0.5",
-                        help="zoo network (exact name, prefix, substring)")
-        wp.add_argument("--deadline-ms", type=float, default=3.0,
-                        dest="deadline_ms",
-                        help="deadline for untagged (single-class) traffic")
-        wp.add_argument("--max-rungs", type=int, default=6,
-                        dest="max_rungs")
+        _scenario_flags(wp, deadline_ms=3.0,
+                        deadline_help="deadline for untagged (single-class) "
+                                      "traffic")
         wp.add_argument("--queue-capacity", type=int, default=64,
                         dest="queue_capacity")
         wp.add_argument("--no-ladder", action="store_true",
@@ -1040,7 +995,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="weighted-fair admission (needs --tenants)")
         wp.add_argument("--watermark", type=float, default=0.25,
                         help="queue fill fraction where fair shares bind")
-        wp.add_argument("--seed", type=int, default=0)
         if with_process:
             wp.add_argument("--kind", default="diurnal-flash",
                             choices=list(WORKLOAD_KINDS),
@@ -1065,7 +1019,7 @@ def build_parser() -> argparse.ArgumentParser:
     wp = wsub.add_parser("fluid",
                          help="analytical throughput/miss predictions")
     _workload_common(wp)
-    wp.add_argument("--replicas", type=int, default=1,
+    wp.add_argument("--replicas", type=_COUNT, default=1,
                     help="fleet size for the per-rung predictions")
     wp.add_argument("--rung", type=int, default=0,
                     help="rung index for --sweep/--plan-miss (0 = most "
@@ -1082,34 +1036,24 @@ def build_parser() -> argparse.ArgumentParser:
                        help="telemetry: exposition, alerts, run store")
     osub = p.add_subparsers(dest="obs_cmd", required=True)
 
-    def _obs_serve_common(op):
-        op.add_argument("--net", default="mobilenet_v1_0.5",
-                        help="zoo network (exact name, prefix, substring)")
-        op.add_argument("--requests", type=int, default=400)
-        op.add_argument("--rate", type=float, default=None,
-                        help="offered load in requests/s")
-        op.add_argument("--max-rungs", type=int, default=6,
-                        dest="max_rungs")
+    def _sample_ms(op):
         op.add_argument("--sample-ms", type=float, default=1.0,
                         dest="sample_ms",
                         help="telemetry sampling interval (virtual ms)")
 
     op = osub.add_parser("expose",
                          help="serve with telemetry, print OpenMetrics text")
-    _obs_serve_common(op)
-    op.add_argument("--deadline-ms", type=float, default=0.9,
-                    dest="deadline_ms")
+    _scenario_flags(op, deadline_ms=0.9, requests=400, rate=full_trn)
+    _sample_ms(op)
     op.add_argument("--json", default=None, metavar="PATH",
                     help="also write the JSON export (metrics + series)")
-    op.add_argument("--seed", type=int, default=0)
 
     op = osub.add_parser("alerts",
                          help="burn-rate alert timeline on a chaos replay "
                               "(exit 1 if still firing at drain)")
-    _obs_serve_common(op)
-    op.set_defaults(requests=800)
-    op.add_argument("--deadline-ms", type=float, default=2.5,
-                    dest="deadline_ms")
+    _scenario_flags(op, deadline_ms=2.5, requests=800, seed=2,
+                    rate="0.65x the full TRN's single-request capacity")
+    _sample_ms(op)
     op.add_argument("--scenario", default="straggler-storm",
                     choices=sorted(SCENARIOS),
                     help="chaos scenario over the first half of the trace")
@@ -1122,7 +1066,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="slow burn-rate window (virtual ms)")
     op.add_argument("--store", default=None, metavar="PATH",
                     help="archive the run in this SQLite run store")
-    op.add_argument("--seed", type=int, default=2)
     op.add_argument("--fault-seed", type=int, default=0, dest="fault_seed")
 
     op = osub.add_parser("gate",
@@ -1168,15 +1111,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trace",
                        help="traced serving replay with drift monitoring")
-    p.add_argument("--net", default="mobilenet_v1_0.5",
-                   help="zoo network (exact name, prefix or substring)")
-    p.add_argument("--deadline-ms", type=float, default=0.9,
-                   dest="deadline_ms")
-    p.add_argument("--requests", type=int, default=400)
-    p.add_argument("--rate", type=float, default=None,
-                   help="offered load in requests/s (default: 1.3x the "
-                        "full TRN's single-request capacity)")
-    p.add_argument("--max-rungs", type=int, default=6, dest="max_rungs")
+    _scenario_flags(p, deadline_ms=0.9, requests=400, rate=full_trn)
     p.add_argument("--buffer", type=int, default=65536,
                    help="trace buffer capacity (spans)")
     p.add_argument("--drift-threshold", type=float, default=0.25,
@@ -1186,7 +1121,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write spans as JSON lines")
     p.add_argument("--chrome", default=None, metavar="PATH",
                    help="write a chrome://tracing JSON file")
-    p.add_argument("--seed", type=int, default=0)
     return parser
 
 

@@ -19,9 +19,8 @@ from repro.metrics.pareto import (
     relative_improvement,
 )
 from repro.netcut.accounting import compare_costs
-from repro.trim.removal import removed_node_set
 
-__all__ = ["build_report"]
+__all__ = ["build_report", "estimator_errors"]
 
 
 def _table(headers: list[str], rows: list[list[str]]) -> str:
@@ -81,30 +80,36 @@ def _pareto_section(wb, exploration) -> str:
               f"**{gain:+.2f}%** (paper: up to +10.43%).")
 
 
-def _estimator_section(wb) -> str:
+def estimator_errors(wb) -> dict[str, tuple[float, float, float]]:
+    """Relative error (%) of the profiler, ε-SVR and linear estimators.
+
+    Measured on the latency dataset (Fig. 9): one ``(profiler, svr,
+    linear)`` triple per network of ``wb.config.networks``, plus ``"all"``
+    over every point.
+    """
     points = wb.latency_dataset()
     truth = np.array([p.measured_ms for p in points])
-    names = [p.base_name for p in points]
     profiler = wb.profiler_adapter()
-    prof = np.array([
-        profiler._estimator_for(wb.base(p.base_name)).estimate(
-            removed_node_set(wb.base(p.base_name), p.cut_node))
-        for p in points])
+    # a LatencyPoint names its cut node the way a Cutpoint does
+    prof = np.array([profiler.estimate(wb.base(p.base_name), p)
+                     for p in points])
     svr, _ = wb.analytical_model("rbf")
     lin, _ = wb.analytical_model("linear-ols")
     feats = [p.features for p in points]
-    svr_pred, lin_pred = svr.predict(feats), lin.predict(feats)
-    rows = []
-    for net in wb.config.networks:
-        mask = np.array([n == net for n in names])
-        rows.append([net,
-                     f"{relative_error(prof[mask], truth[mask]):.2f}%",
-                     f"{relative_error(svr_pred[mask], truth[mask]):.2f}%",
-                     f"{relative_error(lin_pred[mask], truth[mask]):.2f}%"])
-    rows.append(["**all**",
-                 f"**{relative_error(prof, truth):.2f}%**",
-                 f"**{relative_error(svr_pred, truth):.2f}%**",
-                 f"**{relative_error(lin_pred, truth):.2f}%**"])
+    preds = (prof, svr.predict(feats), lin.predict(feats))
+    names = np.array([p.base_name for p in points])
+    masks = {net: names == net for net in wb.config.networks}
+    masks["all"] = np.ones(len(points), dtype=bool)
+    return {net: tuple(relative_error(pred[mask], truth[mask])
+                       for pred in preds)
+            for net, mask in masks.items()}
+
+
+def _estimator_section(wb) -> str:
+    errors = estimator_errors(wb)
+    rows = [[net, *(f"{e:.2f}%" for e in errors[net])]
+            for net in wb.config.networks]
+    rows.append(["**all**", *(f"**{e:.2f}%**" for e in errors["all"])])
     return ("## Latency estimators (Figs 8-9)\n\n"
             + _table(["network", "profiler", "ε-SVR (RBF)", "linear (OLS)"],
                      rows)

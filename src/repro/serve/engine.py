@@ -49,6 +49,9 @@ from .request import COMPLETED, DROPPED, REJECTED, Request, Response
 
 __all__ = ["ServerConfig", "Engine"]
 
+UPGRADE_UTILIZATION = 0.75  # max predicted rho on the slower rung
+RATE_WINDOW = 64            # arrivals used for rate estimation
+
 
 @dataclass
 class ServerConfig:
@@ -57,20 +60,14 @@ class ServerConfig:
     deadline_ms: float = 0.9          # the robotic hand's budget
     queue_capacity: int = 128
     max_batch: int = 8
-    batch_slack_ms: float = 0.0       # safety margin for estimator error
     admission_control: bool = True
     admission_policy: object | None = None  # e.g. WeightedFairAdmission
     adaptive: bool = True             # TRN-ladder degradation on/off
     window: int = 32                  # controller sliding window (requests)
     min_observations: int = 16
     cooldown: int = 16
-    degrade_quantile: float = 0.99
-    degrade_ratio: float = 1.0
     upgrade_ratio: float = 0.5
     upgrade_cooldown: int | None = None  # default 4x cooldown (lazy upgrades)
-    upgrade_utilization: float = 0.75  # max predicted rho on the slower rung
-    rate_window: int = 64             # arrivals used for rate estimation
-    warm_start: bool = True           # skip the device's cold-start ramp
     execute: bool = True              # run real forwards (False = timing only)
     kernel_timing: bool = False       # time compiled kernels per batch
     seed: int = 0
@@ -79,8 +76,6 @@ class ServerConfig:
     reestimate_cooldown_ms: float = 25.0  # min virtual time between fits
     reestimate_min_samples: int = 8   # fresh batches required per fit
     reestimate_method: str = "ratio"  # "ratio" or "svr"
-    reestimate_margin: float = 1.0    # greedy budget = margin x deadline
-    reestimate_min_change: float = 0.05  # discard fits below this change
     reestimate_max_samples: int = 64  # per-rung fit buffer (forgetting)
     # -- resilience (see repro.faults) --------------------------------------
     resilience: bool = False          # timeouts/retries/breakers on or off
@@ -132,18 +127,15 @@ class Engine:
         # children; only a telemetry the caller attached is ever sampled
         self._telemetry = metrics.telemetry
         self.queue = EDFQueue(config.queue_capacity, tracer=tracer)
-        self.batcher = MicroBatcher(
-            config.max_batch, config.batch_slack_ms, tracer=tracer,
-            on_form=metrics.batch_stop)
+        self.batcher = MicroBatcher(config.max_batch, tracer=tracer,
+                                    on_form=metrics.batch_stop)
         self.controller = (HysteresisController(
             config.deadline_ms, window=config.window,
             min_observations=config.min_observations,
-            cooldown=config.cooldown, quantile=config.degrade_quantile,
-            degrade_ratio=config.degrade_ratio,
-            upgrade_ratio=config.upgrade_ratio,
+            cooldown=config.cooldown, upgrade_ratio=config.upgrade_ratio,
             upgrade_cooldown=config.upgrade_cooldown)
             if config.adaptive else None)
-        self._arrivals: deque[float] = deque(maxlen=config.rate_window)
+        self._arrivals: deque[float] = deque(maxlen=RATE_WINDOW)
         self.admission_policy = config.admission_policy
         if self.admission_policy is not None:
             # fresh share window: a policy object may be reused across
@@ -180,15 +172,12 @@ class Engine:
                 cooldown_ms=config.reestimate_cooldown_ms,
                 min_samples=config.reestimate_min_samples,
                 method=config.reestimate_method,
-                margin=config.reestimate_margin,
-                min_rel_change=config.reestimate_min_change,
                 max_samples_per_rung=config.reestimate_max_samples)
         ladder.reseed(config.seed)
-        if config.warm_start:
-            for rung in ladder.rungs:
-                # the paper's 200-run warm-up, so serving starts past the
-                # clock ramp instead of degrading on cold-start stragglers
-                rung.sampler.warm_up(200)
+        for rung in ladder.rungs:
+            # the paper's 200-run warm-up, so serving starts past the
+            # clock ramp instead of degrading on cold-start stragglers
+            rung.sampler.warm_up(200)
         self._kernel_timing = False
         if config.kernel_timing:
             for rung in ladder.rungs:
@@ -319,7 +308,7 @@ class Engine:
             return True
         b = self._observed_batch()
         per_request_ms = slower.estimate_ms(b) / b
-        return rate * per_request_ms <= self.config.upgrade_utilization
+        return rate * per_request_ms <= UPGRADE_UTILIZATION
 
     def _observed_batch(self) -> int:
         occupancy = self.metrics.mean_batch_size
@@ -341,7 +330,7 @@ class Engine:
         b = self._observed_batch()
         while self.ladder.can_degrade:
             per_request_ms = self.ladder.current.estimate_ms(b) / b
-            if rate * per_request_ms <= self.config.upgrade_utilization:
+            if rate * per_request_ms <= UPGRADE_UTILIZATION:
                 break
             self.ladder.degrade()
 

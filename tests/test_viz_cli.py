@@ -63,3 +63,44 @@ class TestCLI:
 
         with pytest.raises(SystemExit):
             main([])
+
+
+class TestScenarioInputChecks:
+    def test_serve_resolves_net_prefix(self, capsys):
+        from repro.cli import main
+
+        assert main(["serve", "--net", "mobilenet_v1_0.2",
+                     "--requests", "20"]) == 0
+        assert "TRN ladder for mobilenet_v1_0.25 " in capsys.readouterr().out
+
+    def test_serve_ambiguous_net_exits_cleanly(self):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit, match="ambiguous or unknown"):
+            main(["serve", "--net", "mobilenet"])
+
+    @pytest.mark.parametrize("argv", [
+        ["netcut", "online", "--requests", "0"],
+        ["faults", "--requests", "0"],
+        ["obs", "alerts", "--requests", "0"],
+        ["serve", "--requests", "0"],
+        ["cluster", "--requests", "0"],
+        ["serve", "--rate", "-5"],
+        ["serve", "--max-rungs", "0"],
+        ["cluster", "--replicas", "0"],
+    ], ids=" ".join)
+    def test_malformed_scenario_flag_is_a_usage_error(self, argv, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {argv[-2]}" in capsys.readouterr().err
+
+    def test_kill_replica_outside_the_fleet_rejected(self):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit,
+                           match="--kill-replica 7 out of range; the fleet "
+                                 "has 3 replica"):
+            main(["cluster", "--kill-replica", "7"])
