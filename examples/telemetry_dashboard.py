@@ -3,8 +3,8 @@
 One seeded straggler-storm replay with the full observability stack
 attached — labeled metric families sampled into the ring-buffer
 time-series store on the virtual clock, the two canonical SLO burn-rate
-rules, and the SQLite run store — then everything is rendered from the
-*recorded* data, the way a real dashboard reads a metrics backend:
+rules — then everything is rendered from the *recorded* data, the way a
+real dashboard reads a metrics backend:
 
 1. **Sparklines** — queue depth, windowed p99, offered arrival rate and
    the deadline-miss burn rate (a counter-delta ratio, computed from the
@@ -12,9 +12,9 @@ rules, and the SQLite run store — then everything is rendered from the
    over the run's virtual time span.
 2. **Alert timeline** — both rules fire mid-storm and resolve in the
    quiet tail; the firing window is marked under the sparklines.
-3. **Run store** — the run is archived (metadata, final metrics, every
-   series point), a second seed is archived next to it, and the two runs
-   are diffed with the biggest relative movers first.
+3. **Run diff** — a second seed is replayed and the two runs' final
+   metrics are diffed by the bench gate with no rules, the biggest
+   relative movers first.
 
 Everything is virtual-time and seeded: the dashboard prints the same
 pixels on every machine.
@@ -22,16 +22,14 @@ pixels on every machine.
 Run:  python examples/telemetry_dashboard.py
 """
 
-import os
-import tempfile
-
 from repro.device import xavier
 from repro.faults import build_scenario
 from repro.obs import (
     AlertEngine,
-    RunStore,
     Telemetry,
     default_slo_rules,
+    evaluate_gate,
+    to_json,
     to_openmetrics,
 )
 from repro.serve import Server, ServerConfig, TRNLadder
@@ -140,20 +138,13 @@ def main() -> None:
             marks[col] = "^"
     print(f"  {'alerts firing':24s} |{''.join(marks)}|")
 
-    print("\n=== 3. archive both seeds in a run store and diff them")
-    path = os.path.join(tempfile.mkdtemp(), "dashboard.sqlite")
-    with RunStore(path) as rs:
-        a = rs.add_run("example.dashboard", meta={"seed": SEED},
-                       telemetry=telemetry)
-        result_b, telemetry_b, _, _ = replay(SEED + 1)
-        b = rs.add_run("example.dashboard", meta={"seed": SEED + 1},
-                       telemetry=telemetry_b)
-        rows = rs.compare(a, b)
-    movers = [r for r in rows if r["rel"]]
-    print(f"  {len(rows)} comparable keys, {len(movers)} moved; top 5:")
-    for r in rows[:5]:
-        print(f"    {r['key'][:48]:48s} {r['a']:>10.4g} -> {r['b']:>10.4g} "
-              f"({100 * r['rel']:+.1f}%)")
+    print("\n=== 3. diff both seeds' final metrics, biggest movers first")
+    _, telemetry_b, _, _ = replay(SEED + 1)
+    report = evaluate_gate({"run": to_json(telemetry)["metrics"]},
+                           {"run": to_json(telemetry_b)["metrics"]},
+                           rules=())
+    for line in report.table(top=5).splitlines():
+        print(f"  {line}")
 
     print("\n=== 4. the same surface, as OpenMetrics exposition (head)")
     for line in to_openmetrics(telemetry).splitlines()[:8]:

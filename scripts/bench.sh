@@ -11,9 +11,8 @@
 # (BENCH_forward.json is real wall-clock NumPy compute — its speedup and
 # parity columns are the stable signals, not the absolute samples/sec.)
 #
-# Every BENCH payload is also appended to RUNSTORE.sqlite (override with
-# REPRO_RUNSTORE), so two bench runs can be diffed with
-# `python -m repro obs compare A B --store RUNSTORE.sqlite`.
+# Two bench runs are diffed by pointing the gate at their BENCH
+# directories: `python -m repro obs gate --baselines A --current B`.
 #
 # Heavy rung construction (bench_builders.py) reuses the same on-disk
 # workbench cache examples_smoke.sh warms — ~/.cache/repro-netcut,
@@ -22,8 +21,6 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-REPRO_RUNSTORE="${REPRO_RUNSTORE:-RUNSTORE.sqlite}"
-export REPRO_RUNSTORE
 REPRO_CACHE_DIR="${REPRO_CACHE_DIR:-$HOME/.cache/repro-netcut}"
 export REPRO_CACHE_DIR
 
@@ -37,26 +34,8 @@ PYTHONHASHSEED=random PYTHONPATH=src python -m pytest \
     benchmarks/test_builder_bakeoff.py \
     -q --benchmark-disable "$@"
 
-PYTHONPATH=src python scripts/bench_serve.py --store "$REPRO_RUNSTORE"
+PYTHONPATH=src python scripts/bench_serve.py
 PYTHONPATH=src python scripts/bench_workload.py
 PYTHONPATH=src python scripts/bench_forward.py
 PYTHONPATH=src python scripts/bench_builders.py
 
-# archive every BENCH payload as one run-store row: regressions become a
-# `repro obs compare` query instead of a JSON diff
-PYTHONPATH=src python - <<'EOF'
-import glob
-import json
-import os
-
-from repro.obs import RunStore
-
-payloads = {os.path.basename(path)[:-5]: json.load(open(path))
-            for path in sorted(glob.glob("BENCH_*.json"))}
-with RunStore(os.environ["REPRO_RUNSTORE"]) as store:
-    run_id = store.add_run("bench.smoke",
-                           meta={"files": ",".join(sorted(payloads))},
-                           artifacts=payloads)
-print(f"archived {len(payloads)} BENCH payloads as run #{run_id} "
-      f"in {os.environ['REPRO_RUNSTORE']}")
-EOF

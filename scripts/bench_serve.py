@@ -8,18 +8,14 @@ p2c-deadline cluster. Everything is virtual-time and seeded, so the
 numbers are a property of the code, not of the machine running CI —
 two commits produce different JSON only when serving behaviour changed.
 
-With ``--store PATH`` (default: the ``REPRO_RUNSTORE`` environment
-variable) the run is also appended to a :class:`repro.obs.RunStore`
-SQLite archive — telemetry series from the cluster run plus the BENCH
-payload — so two invocations across commits can be diffed with
-``python -m repro obs compare A B --store PATH``.
+Two commits' payloads are diffed with
+``python -m repro obs gate --baselines DIR_A --current DIR_B``.
 
 Run via scripts/bench.sh, or directly:
 
-    PYTHONPATH=src python scripts/bench_serve.py [--store RUNSTORE.sqlite]
+    PYTHONPATH=src python scripts/bench_serve.py
 """
 
-import argparse
 import json
 import os
 import sys
@@ -30,7 +26,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
 from repro.cluster import Router, homogeneous_replicas, make_policy  # noqa: E402
 from repro.device import xavier  # noqa: E402
 from repro.faults import FaultInjector, ThermalThrottle  # noqa: E402
-from repro.obs import DriftMonitor, RunStore, Telemetry  # noqa: E402
+from repro.obs import DriftMonitor  # noqa: E402
 from repro.serve import Server, ServerConfig, TRNLadder  # noqa: E402
 from repro.workload import poisson_trace  # noqa: E402
 from repro.zoo import build_network  # noqa: E402
@@ -110,14 +106,7 @@ def run_online_netcut(base):
     }
 
 
-def main(argv=None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--store", default=os.environ.get("REPRO_RUNSTORE"),
-                        metavar="PATH",
-                        help="append the run (telemetry + payload) to this "
-                             "SQLite run store (default: $REPRO_RUNSTORE)")
-    args = parser.parse_args(argv)
-
+def main() -> None:
     base = build_network("mobilenet_v1_0.5").build(0)
     config = ServerConfig(deadline_ms=DEADLINE_MS, execute=False, seed=SEED,
                           queue_capacity=64, window=16, min_observations=8,
@@ -125,18 +114,12 @@ def main(argv=None) -> None:
     trace = poisson_trace(REQUESTS, RATE_RPS, DEADLINE_MS, rng=SEED)
 
     runs = {}
-    telemetries = {}
     for name, n in (("serve_1x", 1), ("cluster_3x_p2c", 3)):
-        # telemetry observes the run without perturbing it (sampling is
-        # read-only), so the BENCH payload is --store-independent
-        telemetry = Telemetry(sample_interval_ms=1.0) if args.store else None
         replicas = homogeneous_replicas(base, xavier(), n, config,
-                                        num_classes=5, max_rungs=6,
-                                        telemetry=telemetry)
-        result = Router(replicas, make_policy("p2c-deadline", SEED),
-                        telemetry=telemetry).run(trace)
+                                        num_classes=5, max_rungs=6)
+        result = Router(replicas,
+                        make_policy("p2c-deadline", SEED)).run(trace)
         runs[name] = measure(result, trace)
-        telemetries[name] = telemetry
 
     payload = {
         "benchmark": "serve-cluster-scaleout",
@@ -163,16 +146,6 @@ def main(argv=None) -> None:
         fh.write("\n")
     print(f"wrote {out}")
     print(json.dumps(payload, indent=2, sort_keys=True))
-
-    if args.store:
-        with RunStore(args.store) as store:
-            run_id = store.add_run(
-                "bench.serve", meta=dict(payload["scenario"]),
-                telemetry=telemetries["cluster_3x_p2c"],
-                artifacts={"BENCH_serve": payload})
-        print(f"archived as run #{run_id} in {args.store} "
-              f"(diff runs: python -m repro obs compare A B "
-              f"--store {args.store})")
 
 
 if __name__ == "__main__":

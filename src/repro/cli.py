@@ -14,7 +14,7 @@ Usage (after installation, or via ``python -m repro.cli``):
     python -m repro.cli trace --out serve.jsonl --chrome serve.trace.json
     python -m repro.cli faults --scenario straggler-storm --compare
     python -m repro.cli obs alerts                # SLO burn-rate timeline
-    python -m repro.cli obs compare 1 2 --store RUNSTORE.sqlite
+    python -m repro.cli obs gate --baselines A --current B  # diff two runs
 
 (``python -m repro ...`` is an equivalent spelling of every command.)
 
@@ -690,26 +690,19 @@ def cmd_cluster(args) -> int:
     return 0
 
 
-def _default_store() -> str:
-    import os
-
-    return os.environ.get("REPRO_RUNSTORE", "RUNSTORE.sqlite")
-
-
 def cmd_obs(args) -> int:
-    """Telemetry workflows: exposition, burn-rate alerts, the run store.
+    """Telemetry workflows: exposition, burn-rate alerts, the bench gate.
 
     ``expose`` replays a serve trace with labeled telemetry attached and
     prints the OpenMetrics text exposition (pipe it to a scraper or a
     file). ``alerts`` replays a chaos scenario against an *undefended*
     pinned-rung engine with the canonical SLO burn-rate rules attached
     and prints the firing/resolved timeline — exit status 1 if any alert
-    is still firing when the trace drains. ``runs`` lists the archived
-    runs of a SQLite run store and ``compare`` diffs two of them, biggest
-    relative movers first. ``gate`` applies the bench-regression
-    tolerances (the same ones CI enforces) to fresh ``BENCH_*.json``
-    files against the committed baselines — exit status 1 on any
-    violation.
+    is still firing when the trace drains. ``gate`` applies the
+    bench-regression tolerances (the same ones CI enforces) to fresh
+    ``BENCH_*.json`` files against the committed baselines — exit status
+    1 on any violation — and is also how two runs' BENCH directories are
+    diffed, biggest relative movers first.
     """
     if args.obs_cmd == "gate":
         from repro.obs import run_gate
@@ -718,59 +711,11 @@ def cmd_obs(args) -> int:
 
     from repro.obs import (
         AlertEngine,
-        RunStore,
         Telemetry,
         default_slo_rules,
         to_json,
         to_openmetrics,
     )
-
-    if args.obs_cmd == "runs":
-        import os
-        import time as _time
-
-        path = args.store or _default_store()
-        if not os.path.exists(path):
-            raise SystemExit(
-                f"run store {path!r} does not exist; record one with "
-                "scripts/bench_serve.py --store or repro obs alerts --store")
-        with RunStore(path) as store:
-            rows = store.runs(kind=args.kind)
-            if not rows:
-                what = f" of kind {args.kind!r}" if args.kind else ""
-                print(f"{path}: no runs{what}")
-                return 0
-            print(f"{path}: {len(rows)} run(s)")
-            for row in rows:
-                stamp = _time.strftime("%Y-%m-%d %H:%M:%S",
-                                       _time.gmtime(row["created"]))
-                meta = " ".join(f"{k}={v}"
-                                for k, v in sorted(row["meta"].items()))
-                print(f"  #{row['id']:<4d} {row['kind']:18s} {stamp}  {meta}")
-        return 0
-
-    if args.obs_cmd == "compare":
-        path = args.store or _default_store()
-        with RunStore(path) as store:
-            try:
-                rows = store.compare(args.run_a, args.run_b)
-            except KeyError as exc:
-                raise SystemExit(str(exc.args[0]))
-        movers = [r for r in rows if r["rel"]]
-        print(f"run #{args.run_a} vs run #{args.run_b}: "
-              f"{len(rows)} keys, {len(movers)} moved "
-              f"(top {min(args.top, len(rows))} by |relative change|)")
-        print(f"{'key':52s} {'a':>12} {'b':>12} {'rel':>9}")
-
-        def cell(v) -> str:
-            return "-" if v is None else f"{v:12.4g}"
-
-        for row in rows[:args.top]:
-            rel = row["rel"]
-            rel_s = "-" if rel is None else f"{100 * rel:+8.1f}%"
-            print(f"{row['key'][:52]:52s} {cell(row['a']):>12} "
-                  f"{cell(row['b']):>12} {rel_s:>9}")
-        return 0
 
     # expose / alerts: one telemetered serving replay
     from repro.serve import Server, ServerConfig
@@ -820,14 +765,6 @@ def cmd_obs(args) -> int:
           "(pinned full rung, resilience off)")
     print("\n" + engine.report())
     print("\n" + result.metrics.report())
-    if args.store:
-        with RunStore(args.store) as store:
-            run_id = store.add_run(
-                "obs.alerts", telemetry=telemetry,
-                meta={"net": args.net, "scenario": args.scenario,
-                      "seed": args.seed, "deadline_ms": args.deadline_ms},
-                artifacts={"alerts": engine.snapshot()})
-        print(f"\narchived as run #{run_id} in {args.store}")
     return 1 if engine.active else 0
 
 
@@ -1033,7 +970,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "or under this miss rate")
 
     p = sub.add_parser("obs",
-                       help="telemetry: exposition, alerts, run store")
+                       help="telemetry: exposition, alerts, bench gate")
     osub = p.add_subparsers(dest="obs_cmd", required=True)
 
     def _sample_ms(op):
@@ -1064,8 +1001,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="fast burn-rate window (virtual ms)")
     op.add_argument("--slow-ms", type=float, default=24.0, dest="slow_ms",
                     help="slow burn-rate window (virtual ms)")
-    op.add_argument("--store", default=None, metavar="PATH",
-                    help="archive the run in this SQLite run store")
     op.add_argument("--fault-seed", type=int, default=0, dest="fault_seed")
 
     op = osub.add_parser("gate",
@@ -1079,22 +1014,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="directory with the just-produced BENCH_*.json")
     op.add_argument("--top", type=int, default=20,
                     help="movers-table rows (violations always shown)")
-
-    op = osub.add_parser("runs", help="list runs archived in a run store")
-    op.add_argument("--store", default=None, metavar="PATH",
-                    help="SQLite path (default: $REPRO_RUNSTORE or "
-                         "RUNSTORE.sqlite)")
-    op.add_argument("--kind", default=None,
-                    help="only runs of this kind (e.g. bench.serve)")
-
-    op = osub.add_parser("compare", help="diff two archived runs")
-    op.add_argument("run_a", type=int, help="baseline run id")
-    op.add_argument("run_b", type=int, help="candidate run id")
-    op.add_argument("--store", default=None, metavar="PATH",
-                    help="SQLite path (default: $REPRO_RUNSTORE or "
-                         "RUNSTORE.sqlite)")
-    op.add_argument("--top", type=int, default=20,
-                    help="rows to print (biggest relative movers first)")
 
     p = sub.add_parser("profile",
                        help="per-kernel latency table on the modelled Xavier")

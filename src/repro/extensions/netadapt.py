@@ -177,7 +177,8 @@ def run_netadapt(net: Network, budget_ms: float, device: DeviceSpec,
 
     The network is modified on a working copy; the input network is left
     untouched. Raises ``RuntimeError`` if the budget cannot be reached
-    before every layer hits ``min_channels``.
+    before every layer hits ``min_channels`` — up front, before any
+    fine-tune, when even the fully pruned network misses it.
     """
     work = net.copy()
     work.build(config.seed)
@@ -185,6 +186,21 @@ def run_netadapt(net: Network, budget_ms: float, device: DeviceSpec,
                             network_latency(work, device).total_ms)
     prunable = [name for name, node in work.nodes.items()
                 if isinstance(node.layer, Conv2D) and node.role != "head"]
+    if result.latency_ms > budget_ms:
+        # latency is monotone in channel count, so the all-min_channels
+        # network is the fastest the loop below can ever reach
+        floor = work.copy()
+        floor.build(config.seed)
+        for lname in prunable:
+            if floor.nodes[lname].layer.filters > config.min_channels:
+                prune_output_channels(floor, lname,
+                                      np.arange(config.min_channels))
+        floor_ms = network_latency(floor, device).total_ms
+        if floor_ms > budget_ms:
+            raise RuntimeError(
+                f"cannot reach {budget_ms} ms: with every prunable layer "
+                f"at {config.min_channels} channels the network still "
+                f"takes {floor_ms:.4g} ms")
 
     iteration = 0
     while result.latency_ms > budget_ms:

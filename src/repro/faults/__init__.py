@@ -23,7 +23,7 @@ Typical chaos experiment::
 
     scenario = build_scenario("straggler-storm", span_ms=200.0, seed=0)
     injector = scenario.injector()
-    server = Server(injector.wrap(ladder),
+    server = Server(ladder,
                     ServerConfig(deadline_ms=0.9, resilience=True),
                     faults=injector)
     result = server.run_trace(trace)

@@ -115,7 +115,16 @@ class FaultInjector:
         instance of the same ladder class over :class:`FaultedRung`
         proxies (which satisfy the full rung protocol, so sorting,
         reseeding and warm-up behave identically).
+
+        Raises :class:`ValueError` on a ladder this injector already
+        wraps: its faults would apply twice.
         """
+        for rung in ladder.rungs:
+            if isinstance(rung, FaultedRung) and rung._injector is self:
+                raise ValueError(
+                    f"rung {rung.name!r} is already wrapped by this "
+                    "injector; pass the unwrapped ladder (Server and "
+                    "Replica wrap it themselves)")
         return type(ladder)([FaultedRung(r, self) for r in ladder.rungs])
 
     # -- read-out ------------------------------------------------------------

@@ -22,11 +22,10 @@ on that estimate. This subpackage makes the instrumentation first-class:
 - :class:`AlertEngine` — multi-window SLO burn-rate alerting
   (:class:`BurnRateRule`, :func:`default_slo_rules`) over the store,
   firing/resolving deterministically in virtual time.
-- :class:`RunStore` — a SQLite archive of runs (metadata, final metrics,
-  series, BENCH payloads) with ``runs``/``series``/``compare`` queries.
 - :func:`evaluate_gate` / :class:`GateRule` — the bench-regression gate:
   fresh ``BENCH_*.json`` payloads vs committed baselines under per-metric
-  tolerances, failing CI with a movers table when a number slides.
+  tolerances, failing CI with a movers table when a number slides. With
+  ``rules=()`` it diffs any two runs' payloads, biggest movers first.
 
 Attach to a server with plain keyword arguments::
 
@@ -52,7 +51,6 @@ from .gate import (
     run_gate,
 )
 from .export import chrome_trace, to_jsonl, write_chrome_trace, write_jsonl
-from .store import RunStore
 from .telemetry import (
     Counter,
     Gauge,
@@ -87,7 +85,6 @@ __all__ = [
     "AlertEvent",
     "AlertEngine",
     "default_slo_rules",
-    "RunStore",
     "GateRule",
     "GateFinding",
     "GateReport",

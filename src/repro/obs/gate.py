@@ -1,15 +1,12 @@
 """Bench-regression gate: BENCH payloads vs committed baselines, thresholded.
 
-CI's bench-smoke job produces ``BENCH_*.json`` each run; until now those
-were uploaded as artifacts and archived in the run store, but nothing
-*failed* when a number slid. This module turns the perf trajectory into a
-gate: every numeric leaf of the just-produced payloads (flattened to
-``file.dotted.path`` keys, the same scheme :class:`repro.obs.RunStore`
-uses) is matched against :class:`GateRule` patterns with per-metric
-tolerances — ratio floors for higher-is-better metrics (throughput,
-speedup, accuracy-at-deadline), absolute increase caps for
-lower-is-better rates (deadline misses) — and any violation fails the
-gate with a readable table of movers.
+CI's bench-smoke job produces ``BENCH_*.json`` each run. This module
+turns them into a gate: every numeric leaf of the just-produced payloads
+(flattened to ``file.dotted.path`` keys) is matched against
+:class:`GateRule` patterns with per-metric tolerances — ratio floors for
+higher-is-better metrics (throughput, speedup, accuracy-at-deadline),
+absolute increase caps for lower-is-better rates (deadline misses) — and
+any violation fails the gate with a readable table of movers.
 
 Wall-clock caveat, encoded in the default rules: absolute samples/s
 numbers vary with the runner, so the forward bench is gated only on its
@@ -18,7 +15,11 @@ is the stable signal. Everything else in the BENCH files
 is virtual-time or analytic and deterministic.
 
 Used by ``scripts/bench_gate.py`` (the CI step) and ``repro obs gate``
-(the same thresholds from the CLI).
+(the same thresholds from the CLI). The gate is also the way to diff two
+runs: ``repro obs gate --baselines A --current B`` over two BENCH
+directories, or ``evaluate_gate(a, b, rules=()).table()`` in process —
+with no rules every key is informational and the table lists the biggest
+relative movers first.
 """
 
 from __future__ import annotations
@@ -28,10 +29,25 @@ import json
 import os
 from dataclasses import dataclass, field
 
-from .store import _numeric_leaves
-
 __all__ = ["GateRule", "GateFinding", "GateReport", "DEFAULT_RULES",
            "evaluate_gate", "load_bench_dir", "run_gate"]
+
+
+def _numeric_leaves(obj, prefix: str = "") -> dict[str, float]:
+    """Flatten every numeric leaf of a JSON payload to ``dotted.path``."""
+    out: dict[str, float] = {}
+    if isinstance(obj, bool):
+        return out
+    if isinstance(obj, (int, float)):
+        out[prefix or "value"] = float(obj)
+    elif isinstance(obj, dict):
+        for key in sorted(obj):
+            path = f"{prefix}.{key}" if prefix else str(key)
+            out.update(_numeric_leaves(obj[key], path))
+    elif isinstance(obj, list):
+        for i, item in enumerate(obj):
+            out.update(_numeric_leaves(item, f"{prefix}[{i}]"))
+    return out
 
 
 @dataclass(frozen=True)

@@ -308,14 +308,6 @@ class TimeSeriesStore:
             series = self._series[key] = deque(maxlen=self.capacity)
         series.append((t_ms, value))
 
-    def names(self) -> list[str]:
-        """Distinct metric names, sorted."""
-        return sorted({name for name, _ in self._series})
-
-    def keys(self, name: str) -> list[LabelKey]:
-        """All label combinations recorded under ``name``, sorted."""
-        return sorted(k for n, k in self._series if n == name)
-
     def series(self, name: str, labels=None) -> list[tuple[float, float]]:
         """The points of one exact (name, labels) series (empty if unknown)."""
         return list(self._series.get(self._key(name, labels), ()))

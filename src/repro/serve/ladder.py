@@ -115,16 +115,6 @@ class TRNLadder:
 
     # -- construction --------------------------------------------------------
     @classmethod
-    def from_networks(cls, networks: list[Network], spec: DeviceSpec,
-                      accuracies: list[float] | None = None) -> "TRNLadder":
-        """Build a ladder from already-constructed (built) networks."""
-        accs = accuracies or [float("nan")] * len(networks)
-        if len(accs) != len(networks):
-            raise ValueError("need one accuracy per network")
-        return cls([TRNRung(net.name, net, spec, acc)
-                    for net, acc in zip(networks, accs)])
-
-    @classmethod
     def from_artifacts(cls, artifacts, spec: DeviceSpec) -> "TRNLadder":
         """Build a ladder from :class:`repro.netcut.deploy.DeploymentArtifact`s
         (e.g. round-tripped through ``save_artifact``/``load_artifact``).
@@ -142,11 +132,13 @@ class TRNLadder:
                   rng: np.random.Generator | int = 0) -> "TRNLadder":
         """Build the full blockwise ladder of one base network.
 
-        Rung 0 is the zero-cut transfer model (all feature blocks kept);
-        deeper cuts follow. ``max_rungs`` caps the ladder length (the
-        shallowest cuts are kept so the ladder always has a fast escape
-        rung). Heads are freshly initialised — accuracy metadata comes from
-        NetCut/exploration when available, not from this constructor.
+        Rung 0 is the one-block cut (the last feature block removed; the
+        uncut base is not a rung); each later rung removes more blocks.
+        ``max_rungs`` caps the ladder length with evenly spaced cuts that
+        keep the first and the last (most blocks removed), so the ladder
+        always has a fast escape rung. Heads are freshly initialised —
+        accuracy metadata comes from NetCut/exploration when available,
+        not from this constructor.
         """
         cuts = enumerate_blockwise(base)
         if max_rungs is not None and max_rungs < len(cuts):

@@ -14,7 +14,7 @@ from repro.obs import (
     load_bench_dir,
     run_gate,
 )
-from repro.obs.store import _numeric_leaves
+from repro.obs.gate import _numeric_leaves
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -118,6 +118,21 @@ class TestEvaluateGate:
         current = _payloads()
         current["BENCH_serve"]["results"]["serve_1x"]["p99_ms"] = 99.0
         assert evaluate_gate(_payloads(), current).ok
+
+    def test_rules_free_table_ranks_biggest_relative_movers_first(self):
+        # with no rules the gate is a plain two-run diff
+        a = {"BENCH_a": {"same": 1.0, "big": 1.0, "small": 100.0},
+             "BENCH_b": {"leaf": 2.0}}
+        b = {"BENCH_a": {"same": 1.0, "big": 3.0, "small": 101.0},
+             "BENCH_b": {"leaf": 4.0}}
+        report = evaluate_gate(a, b, rules=())
+        assert report.ok
+        rows = report.table().splitlines()[1:5]
+        assert [row.split()[0] for row in rows] == [
+            "BENCH_a.big",       # +200%
+            "BENCH_b.leaf",      # +100%
+            "BENCH_a.small",     # +1%
+            "BENCH_a.same"]
 
 
 class TestRunGate:

@@ -226,6 +226,21 @@ class TestFaultInjector:
             target.sample_service_ms(1)
         assert healthy.sample_service_ms(1) > 0
 
+    def test_wrapping_twice_is_rejected(self, ladder):
+        # Server wraps the ladder itself, so a pre-wrapped one would
+        # apply every fault twice
+        inj = FaultInjector([ThermalThrottle(factor=2.0)], seed=0)
+        wrapped = inj.wrap(ladder)
+        with pytest.raises(ValueError, match="already wrapped"):
+            inj.wrap(wrapped)
+        trace = uniform_trace(5, 1e3, 5.0)
+        server = Server(wrapped, ServerConfig(execute=False), faults=inj)
+        with pytest.raises(ValueError, match="already wrapped"):
+            server.run_trace(trace)
+        # a second injector stacks its own faults on top
+        assert len(FaultInjector([], seed=0).wrap(wrapped).rungs) \
+            == len(ladder.rungs)
+
     def test_snapshot_and_report(self):
         inj = FaultInjector([RungFailure(start_ms=1.0, duration_ms=1.0)],
                             seed=9)

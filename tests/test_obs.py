@@ -647,76 +647,6 @@ class TestBurnRateAlerts:
 
 
 # ---------------------------------------------------------------------------
-# the run store
-# ---------------------------------------------------------------------------
-
-class TestRunStore:
-    def surface(self):
-        from repro.obs import Telemetry
-
-        tele = Telemetry()
-        tele.counter("done_total", "x", ("tenant",)) \
-            .labels(tenant="a").increment(5)
-        tele.gauge("depth").child(()).set(2.0)
-        h = tele.histogram("lat_ms").child(())
-        for ms in (1.0, 3.0):
-            h.observe(ms)
-        tele.sample(1.0)
-        tele.sample(2.0)
-        return tele
-
-    def test_round_trip(self, tmp_path):
-        from repro.obs import RunStore
-
-        path = str(tmp_path / "rs.sqlite")
-        with RunStore(path) as store:
-            rid = store.add_run("test.run", meta={"seed": 3},
-                                telemetry=self.surface(),
-                                artifacts={"payload": {"x": {"y": 2.5}}},
-                                summary={"extra": 9.0})
-        with RunStore(path) as store:
-            rows = store.runs()
-            assert [r["id"] for r in rows] == [rid]
-            assert rows[0]["kind"] == "test.run"
-            assert rows[0]["meta"] == {"seed": 3}
-            summary = store.summary(rid)
-            assert summary['done_total{"tenant": "a"}'] == 5.0
-            assert summary["depth"] == 2.0
-            assert summary["lat_ms_count"] == 2.0
-            assert summary["extra"] == 9.0
-            assert store.series(rid, "depth") == [(1.0, 2.0), (2.0, 2.0)]
-            assert "done_total" in store.series_names(rid)
-            assert store.artifacts(rid) == {"payload": {"x": {"y": 2.5}}}
-
-    def test_compare_ranks_biggest_relative_movers_first(self, tmp_path):
-        from repro.obs import RunStore
-
-        with RunStore(str(tmp_path / "rs.sqlite")) as store:
-            a = store.add_run("t", summary={"same": 1.0, "big": 1.0,
-                                            "small": 100.0},
-                              artifacts={"p": {"leaf": 2.0}})
-            b = store.add_run("t", summary={"same": 1.0, "big": 3.0,
-                                            "small": 101.0},
-                              artifacts={"p": {"leaf": 4.0}})
-            rows = store.compare(a, b)
-        keys = [r["key"] for r in rows]
-        assert keys[0] == "big"                      # +200%
-        assert keys[1] == "p:leaf"                   # +100%
-        assert keys.index("big") < keys.index("small")
-        by_key = {r["key"]: r for r in rows}
-        assert by_key["big"]["delta"] == 2.0
-        assert by_key["same"]["rel"] == 0.0
-
-    def test_compare_unknown_run_raises(self, tmp_path):
-        from repro.obs import RunStore
-
-        with RunStore(str(tmp_path / "rs.sqlite")) as store:
-            rid = store.add_run("t", summary={"x": 1.0})
-            with pytest.raises(KeyError):
-                store.compare(rid, rid + 1)
-
-
-# ---------------------------------------------------------------------------
 # serve + cluster integration
 # ---------------------------------------------------------------------------
 
